@@ -3,8 +3,14 @@
 // reader-writer lock.  Emits machine-readable results to
 // BENCH_server.json in the working directory (EXPERIMENTS S10).
 //
-// The headline claims: queries scale with client count (shared lock, no
-// serialization), and pipelining amortizes the round trip.
+// The headline claims: pipelining amortizes the round trip, and queries
+// take the session lock shared, so the lock never serializes them.  Query
+// throughput does NOT scale in proportion to the client count, though:
+// every command crosses a reader thread, a queue hand-off, a worker
+// wake-up and two frame writes, and that per-command transport, not the
+// lock, bounds it.  The query_qps_<n>_clients rows of BENCH_server.json
+// show it: on a 4-core host single runs read 14k-24k queries/s at 1
+// client and 31k-51k at 4, with a wide run-to-run spread.
 //
 // Methodology: every timed section runs over connections that were
 // established and warmed (one round-trip) *before* the clock starts —

@@ -96,10 +96,17 @@ CommandAccess command_access(std::string_view line) {
     return args.size() > 1 && args[1] == "save" ? CommandAccess::kRead
                                                 : CommandAccess::kWrite;
   }
-  // Everything else — import, run, resume, auto, annotate, retrace,
-  // decompose, open, store, checkpoint, fsck (journal sync) — mutates, and
-  // so does any command this classifier has never heard of.
+  if (cmd == "run") return CommandAccess::kRun;
+  // Everything else — import, resume, auto, annotate, retrace, decompose,
+  // open, store, checkpoint, fsck (journal sync) — mutates, and so does
+  // any command this classifier has never heard of.
   return CommandAccess::kWrite;
+}
+
+bool waits_for_runs(std::string_view write_line) {
+  const std::string_view body = support::trim(write_line);
+  const std::string_view cmd = body.substr(0, body.find_first_of(" \t"));
+  return cmd != "import" && cmd != "annotate";
 }
 
 Interpreter::Interpreter(std::ostream& out)
@@ -775,7 +782,15 @@ void Interpreter::cmd_run(const Args& args) {
       usage(kUsage);
     }
   }
-  const exec::ExecResult result = session_->run(flow, options);
+  std::shared_lock<std::shared_mutex> report;
+  exec::ExecResult result;
+  if (run_lock_ == nullptr) {
+    result = session_->run(flow, options);
+  } else {
+    options.commit_lock = run_lock_;
+    result = session_->run_as(run_user_, flow, options);
+    report = std::shared_lock(*run_lock_);  // the report reads the history
+  }
   *out_ << "ran " << result.tasks_run << " tasks ("
         << result.tasks_reused << " reused";
   if (result.tasks_failed > 0 || result.tasks_skipped > 0) {

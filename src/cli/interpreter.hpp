@@ -34,6 +34,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,12 +52,20 @@ enum class CommandStatus {
   kQuit,   ///< a `quit` command was issued
 };
 
-/// Whether a command only reads the session (safe to execute under a
-/// shared lock, many at once) or may mutate it (needs exclusive access).
-/// The server's reader-writer access layer schedules with this; the
-/// classification is by command name, and anything unrecognized is
-/// conservatively a write.
-enum class CommandAccess { kRead, kWrite };
+/// How a command may share the session with others — the three lock
+/// classes the server's access layer schedules with.  The classification
+/// is by command name, and anything unrecognized is conservatively a write.
+enum class CommandAccess {
+  /// Only reads the session: runs under a shared lock, many at once.
+  kRead,
+  /// May mutate it: runs under the exclusive lock.
+  kWrite,
+  /// `run`: a write everywhere except locking.  No lock is held around
+  /// the command; the run takes the exclusive lock only for its short
+  /// commit sections (see `Interpreter::serve_runs`), so tools execute
+  /// while other clients read, import and run.
+  kRun,
+};
 
 /// Classifies one command line.  Flow-building commands are reads: each
 /// interpreter keeps its own flow workspace, so `flow expand`/`bind` touch
@@ -64,6 +73,13 @@ enum class CommandAccess { kRead, kWrite };
 /// `flow save-plan` publishes into the shared catalog and is a write, as
 /// is anything that records, recovers or reconfigures.
 [[nodiscard]] CommandAccess command_access(std::string_view line);
+
+/// True when `write_line` (a `CommandAccess::kWrite` line) must not
+/// overlap an in-flight `run`: every write except `import` and `annotate`,
+/// which only append records.  The others swap schema or store state tools
+/// are using, record uncovered products (`decompose`, `retrace`) that would
+/// land in a live run's sweep window, or resume runs.
+[[nodiscard]] bool waits_for_runs(std::string_view write_line);
 
 class Interpreter {
  public:
@@ -82,6 +98,17 @@ class Interpreter {
   /// Executes one command.  `payload` supplies the body for commands that
   /// take one (`import`); scripts provide it via heredocs.
   CommandStatus execute(std::string_view line, std::string payload = "");
+
+  /// Serves this interpreter's `run` commands beside other clients of a
+  /// shared session (the server's connections): a run takes
+  /// `session_lock` exclusively only around its commit sections and
+  /// shared while it reports, never around tool bodies, and stamps `user`
+  /// on its products.  The caller then executes `run` without holding
+  /// `session_lock`; every other command keeps the caller's locking.
+  void serve_runs(std::shared_mutex* session_lock, std::string user) {
+    run_lock_ = session_lock;
+    run_user_ = std::move(user);
+  }
 
   /// Executes a script: one command per line, `#` comments, and
   /// `<<TOKEN ... TOKEN` heredoc payloads.  Stops at `quit` or, when
@@ -146,6 +173,9 @@ class Interpreter {
   /// `owned_.get()`, or the externally owned shared session.
   core::DesignSession* session_;
   bool shared_session_ = false;
+  /// Set by `serve_runs`; null runs under the caller's locking.
+  std::shared_mutex* run_lock_ = nullptr;
+  std::string run_user_;
   std::map<std::string, graph::TaskGraph> flows_;
   std::string last_error_;
   support::Severity last_severity_ = support::Severity::kClean;

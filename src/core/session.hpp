@@ -7,6 +7,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -86,6 +87,11 @@ class DesignSession {
   /// the run record, so `resume_run` replays the same plan.
   exec::ExecResult run(const graph::TaskGraph& flow,
                        exec::ExecOptions options = {});
+  /// Like `run`, but stamps `user` on the products instead of this
+  /// session's user — a server connection's run, which reads no session
+  /// state another connection may change while its tools execute.
+  exec::ExecResult run_as(std::string user, const graph::TaskGraph& flow,
+                          exec::ExecOptions options);
   /// Runs only the sub-flow rooted at `goal`.
   exec::ExecResult run_goal(const graph::TaskGraph& flow, graph::NodeId goal,
                             exec::ExecOptions options = {});
@@ -175,6 +181,11 @@ class DesignSession {
  private:
   /// Throws `HistoryError` when this session is a read-only replica.
   void require_writable(std::string_view what) const;
+  /// Runs `go` on the session's executor, or on one over a seeded
+  /// fault-injecting registry when `fault_seed` arms a fault plan.
+  exec::ExecResult execute(
+      std::uint64_t fault_seed,
+      const std::function<exec::ExecResult(exec::Executor&)>& go);
 
   schema::TaskSchema schema_;
   std::string user_;

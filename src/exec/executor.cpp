@@ -9,6 +9,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <queue>
+#include <shared_mutex>
 #include <thread>
 #include <unordered_set>
 
@@ -50,15 +52,28 @@ Executor::Executor(history::HistoryDb& db, const tools::ToolRegistry& tools)
 
 namespace {
 
-/// Mutable state shared by the serial and parallel paths.  `mutex` guards
-/// `env`, the result counters and all history-database access; tool
-/// functions run outside the lock.
+/// Mutable state shared by the scheduler's workers.  `*lock` (the run's
+/// commit lock) guards `env`, the result counters and all history-database
+/// access; tool functions run outside it.
 struct RunState {
+  RunState(const TaskGraph& flow, history::HistoryDb& db,
+           const tools::ToolRegistry& tools, const ExecOptions& options,
+           const std::atomic<bool>* cancel)
+      : flow(&flow),
+        db(&db),
+        tools(&tools),
+        options(&options),
+        lock(options.commit_lock != nullptr ? options.commit_lock
+                                            : &own_lock),
+        cancel(cancel) {}
+
   const TaskGraph* flow;
   history::HistoryDb* db;
   const tools::ToolRegistry* tools;
   const ExecOptions* options;
-  std::mutex mutex;
+  std::shared_mutex own_lock;
+  /// `options.commit_lock`, or `own_lock` when the caller supplied none.
+  std::shared_mutex* lock;
   std::unordered_map<std::uint32_t, std::vector<InstanceId>> env;
   ExecResult result;
   /// Run-intent journaling (crash-resumable runs); `journal` is false when
@@ -70,12 +85,12 @@ struct RunState {
   std::unordered_map<std::uint32_t, std::uint32_t> compact;
   /// Cooperative cancellation flag (`Executor::set_cancel_flag`); null
   /// when cancellation is not wired up.
-  const std::atomic<bool>* cancel = nullptr;
+  const std::atomic<bool>* cancel;
 };
 
 /// True once the installed cancellation flag requests a stop.  Relaxed is
 /// enough: the flag is a pure go/no-go signal and every durable effect the
-/// scheduler produces is ordered by `state.mutex` / the journal anyway.
+/// scheduler produces is ordered by the commit lock / the journal anyway.
 bool cancel_requested(const RunState& state) {
   return state.cancel != nullptr &&
          state.cancel->load(std::memory_order_relaxed);
@@ -246,7 +261,7 @@ void record_failure(RunState& state, const TaskGroup& group,
                     const std::string& task_label,
                     const std::string& message) {
   const TaskGraph& flow = *state.flow;
-  std::scoped_lock lock(state.mutex);
+  std::scoped_lock lock(*state.lock);
   for (const NodeId out_node : group.outputs) {
     history::RecordRequest request;
     request.type = flow.node(out_node).type;
@@ -294,7 +309,7 @@ TaskOutcome execute_group(RunState& state, const TaskGroup& group) {
   std::vector<std::vector<InstanceId>> choices(ordered_inputs.size());
   std::vector<InstanceId> tool_choices;
   {
-    std::scoped_lock lock(state.mutex);
+    std::scoped_lock lock(*state.lock);
     for (std::size_t i = 0; i < ordered_inputs.size(); ++i) {
       const auto it = state.env.find(ordered_inputs[i].value());
       if (it == state.env.end() || it->second.empty()) {
@@ -326,7 +341,7 @@ TaskOutcome execute_group(RunState& state, const TaskGroup& group) {
   bool accepts_sets = false;
   if (group.tool.valid()) {
     try {
-      std::scoped_lock lock(state.mutex);
+      std::scoped_lock lock(*state.lock);
       const schema::EntityTypeId tool_type =
           state.db->instance(tool_choices.front()).type;
       accepts_sets = state.tools->resolve(tool_type).accepts_instance_sets;
@@ -374,7 +389,7 @@ TaskOutcome execute_group(RunState& state, const TaskGroup& group) {
     // Consistency memoization: skip the run when every output already has
     // a fresh instance derived the same way.
     if (state.options->reuse_existing) {
-      std::scoped_lock lock(state.mutex);
+      std::scoped_lock lock(*state.lock);
       std::vector<InstanceId> found;
       bool all = true;
       for (const NodeId out : group.outputs) {
@@ -406,7 +421,7 @@ TaskOutcome execute_group(RunState& state, const TaskGroup& group) {
       ctx->schema = &schema;
       const tools::Encapsulation* enc = nullptr;
       {
-        std::scoped_lock lock(state.mutex);
+        std::scoped_lock lock(*state.lock);
         for (std::size_t i = 0; i < ordered_inputs.size(); ++i) {
           tools::ToolInput in;
           in.type = flow.node(ordered_inputs[i]).type;
@@ -484,7 +499,7 @@ TaskOutcome execute_group(RunState& state, const TaskGroup& group) {
 
       // Record the products.
       {
-        std::scoped_lock lock(state.mutex);
+        std::scoped_lock lock(*state.lock);
         std::vector<std::pair<NodeId, history::RecordRequest>> records;
         for (const NodeId out_node : group.outputs) {
           const std::string& type_name =
@@ -577,10 +592,10 @@ std::string group_label(const RunState& state, const TaskGroup& group) {
 }
 
 /// Stores the outcome under every output node and bumps the run counters.
-/// Caller must NOT hold `state.mutex`.
+/// Caller must NOT hold the commit lock.
 void finalize_outcome(RunState& state, const TaskGroup& group,
                       const TaskOutcome& outcome) {
-  std::scoped_lock lock(state.mutex);
+  std::scoped_lock lock(*state.lock);
   state.result.tasks_failed += outcome.combinations_failed;
   if (outcome.status == TaskStatus::kSkipped) ++state.result.tasks_skipped;
   for (const NodeId out : group.outputs) {
@@ -593,10 +608,10 @@ void finalize_outcome(RunState& state, const TaskGroup& group,
 }
 
 /// Journals the task-started frame for `group` (no-op when run intents are
-/// off).  Caller must NOT hold `state.mutex`.
+/// off).  Caller must NOT hold the commit lock.
 void journal_task_started(RunState& state, const TaskGroup& group) {
   if (!state.journal) return;
-  std::scoped_lock lock(state.mutex);
+  std::scoped_lock lock(*state.lock);
   state.db->run_task_started(state.run_id, group_key(state, group));
 }
 
@@ -671,7 +686,7 @@ std::string skip_reason(RunState& state, const std::vector<TaskGroup>& groups,
       if (status[p] != TaskStatus::kOk) upstream_trouble = true;
     }
     if (upstream_trouble) {
-      std::scoped_lock lock(state.mutex);
+      std::scoped_lock lock(*state.lock);
       auto feeds = groups[g].inputs;
       if (groups[g].tool.valid()) feeds.push_back(groups[g].tool);
       for (const NodeId in : feeds) {
@@ -699,164 +714,138 @@ std::string skip_reason(RunState& state, const std::vector<TaskGroup>& groups,
   throw ExecError(message);
 }
 
+/// The dependency-counter scheduler: a group is ready once every group
+/// producing one of its inputs (or its tool) has completed, in any state.
+/// A serial run is the same scheduler with one inline worker; its ready set
+/// hands out the lowest group index first, which replays the flow's group
+/// order — and so its instance ids and journal frames — exactly.
 ExecResult run_filtered(RunState& state, const std::vector<TaskGroup>& groups) {
   const ExecOptions& options = *state.options;
-  const FailureMode mode = options.fault.mode;
-  const bool fail_fast = mode == FailureMode::kFailFast;
+  const bool fail_fast = options.fault.mode == FailureMode::kFailFast;
+  const bool serial = !options.parallel || groups.size() < 2;
   const GroupDag dag(groups);
   std::vector<TaskStatus> status(groups.size(), TaskStatus::kOk);
 
-  if (!options.parallel || groups.size() < 2) {
-    std::vector<std::string> failures;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      // Cancellation is checked before the task-started frame lands: an
-      // unstarted group leaves no journal trace, so resume re-plans it
-      // cleanly instead of treating it as an in-flight casualty.
-      if (cancel_requested(state)) {
-        throw RunCancelled("flow '" + state.flow->name() +
-                           "': run cancelled after " + std::to_string(g) +
-                           " of " + std::to_string(groups.size()) +
-                           " task groups; resumable");
+  std::mutex sched_mutex;
+  std::condition_variable cv;
+  std::priority_queue<std::size_t, std::vector<std::size_t>,
+                      std::greater<>>
+      ready;
+  std::size_t completed = 0;
+  bool abort = false;   // fail-fast: stop dequeuing, workers drain out
+  bool halted = false;  // cooperative cancellation: stop dequeuing, run stays open
+  std::vector<std::string> failures;
+  // A structural error (missing inputs) that is the run's only failure is
+  // rethrown as-is rather than folded into an aggregated `ExecError`.
+  std::exception_ptr structural;
+  std::vector<std::size_t> indeg = dag.indeg;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (indeg[g] == 0) ready.push(g);
+  }
+
+  const auto worker = [&]() {
+    while (true) {
+      std::size_t g;
+      {
+        std::unique_lock lock(sched_mutex);
+        cv.wait(lock, [&] {
+          return !ready.empty() || completed == groups.size() || abort ||
+                 halted;
+        });
+        if (abort || halted || completed == groups.size()) return;
+        // Cancellation is checked at dequeue time, before the task-started
+        // frame lands: groups already handed to a worker run to completion
+        // (their products journal normally); groups still queued leave no
+        // journal trace, so resume re-plans them cleanly.  Liveness holds
+        // because workers blocked in `cv.wait` are woken either by task
+        // completions or by this broadcast.
+        if (cancel_requested(state)) {
+          halted = true;
+          cv.notify_all();
+          return;
+        }
+        g = ready.top();
+        ready.pop();
       }
       journal_task_started(state, groups[g]);
-      const std::string reason =
-          skip_reason(state, groups, dag, status, g);
-      if (!reason.empty()) {
-        status[g] = TaskStatus::kSkipped;
-        skip_group(state, groups[g], reason);
-        continue;
-      }
+      // The skip decision reads predecessor statuses; they are final
+      // because a group only becomes ready after all its predecessors
+      // completed.  (`skip_reason` takes the commit lock internally, so it
+      // must run outside `sched_mutex`.)
+      const std::string reason = skip_reason(state, groups, dag, status, g);
+
       TaskOutcome outcome;
-      try {
-        outcome = execute_group(state, groups[g]);
-      } catch (const SkipGroup& skip) {
-        status[g] = TaskStatus::kSkipped;
-        skip_group(state, groups[g], skip.reason);
-        continue;
+      if (!reason.empty()) {
+        skip_group(state, groups[g], reason);
+        outcome.status = TaskStatus::kSkipped;
+      } else {
+        try {
+          outcome = execute_group(state, groups[g]);
+          finalize_outcome(state, groups[g], outcome);
+        } catch (const SkipGroup& skip) {
+          skip_group(state, groups[g], skip.reason);
+          outcome.status = TaskStatus::kSkipped;
+        } catch (const std::exception& e) {
+          if (fail_fast) {
+            // Structural error (missing inputs): abort the run, but keep
+            // collecting failures from workers mid-flight.
+            std::scoped_lock lock(sched_mutex);
+            failures.emplace_back(e.what());
+            if (!structural) structural = std::current_exception();
+            abort = true;
+            cv.notify_all();
+            return;
+          }
+          // A continue mode must never lose a group: count the group as
+          // failed so its dependents are skipped, not deadlocked.
+          outcome.status = TaskStatus::kFailed;
+          outcome.errors.emplace_back(e.what());
+          finalize_outcome(state, groups[g], outcome);
+        }
       }
+
+      std::scoped_lock lock(sched_mutex);
       status[g] = outcome.status;
       const bool failed = outcome.status == TaskStatus::kFailed ||
                           outcome.status == TaskStatus::kPartial;
       if (failed) {
         failures.insert(failures.end(), outcome.errors.begin(),
                         outcome.errors.end());
-      }
-      finalize_outcome(state, groups[g], outcome);
-      if (fail_fast && failed) throw_aggregated(failures);
-    }
-    return std::move(state.result);
-  }
-
-  // Parallel scheduling: a group is ready once every group producing one of
-  // its inputs (or its tool) has completed (in any state).
-  std::mutex sched_mutex;
-  std::condition_variable cv;
-  std::deque<std::size_t> ready;
-  std::size_t completed = 0;
-  bool abort = false;   // fail-fast: stop dequeuing, workers drain out
-  bool halted = false;  // cooperative cancellation: stop dequeuing, run stays open
-  std::vector<std::string> failures;
-  std::vector<std::size_t> indeg = dag.indeg;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (indeg[g] == 0) ready.push_back(g);
-  }
-
-  const std::size_t n_workers =
-      std::min<std::size_t>(std::max<std::size_t>(options.max_threads, 1),
-                            groups.size());
-  std::vector<std::thread> workers;
-  workers.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    workers.emplace_back([&]() {
-      while (true) {
-        std::size_t g;
-        std::string reason;
-        {
-          std::unique_lock lock(sched_mutex);
-          cv.wait(lock, [&] {
-            return !ready.empty() || completed == groups.size() || abort ||
-                   halted;
-          });
-          if (abort || halted || completed == groups.size()) return;
-          // Checked at dequeue time, like the serial path: groups already
-          // handed to a worker run to completion (their products journal
-          // normally); groups still queued never start.  Liveness holds
-          // because workers blocked in `cv.wait` are woken either by task
-          // completions or by this broadcast.
-          if (cancel_requested(state)) {
-            halted = true;
-            cv.notify_all();
-            return;
-          }
-          g = ready.front();
-          ready.pop_front();
-        }
-        journal_task_started(state, groups[g]);
-        // The skip decision reads predecessor statuses; they are final
-        // because a group only becomes ready after all its predecessors
-        // completed.  (`skip_reason` takes `state.mutex` internally, so it
-        // must run outside `sched_mutex`.)
-        reason = skip_reason(state, groups, dag, status, g);
-
-        TaskOutcome outcome;
-        if (!reason.empty()) {
-          skip_group(state, groups[g], reason);
-          outcome.status = TaskStatus::kSkipped;
-        } else {
-          try {
-            outcome = execute_group(state, groups[g]);
-            finalize_outcome(state, groups[g], outcome);
-          } catch (const SkipGroup& skip) {
-            skip_group(state, groups[g], skip.reason);
-            outcome.status = TaskStatus::kSkipped;
-          } catch (const std::exception& e) {
-            if (fail_fast) {
-              // Structural error (missing inputs): abort the run, but keep
-              // collecting failures from workers mid-flight.
-              std::scoped_lock lock(sched_mutex);
-              failures.emplace_back(e.what());
-              abort = true;
-              cv.notify_all();
-              return;
-            }
-            // A continue mode must never lose a group: count the group as
-            // failed so its dependents are skipped, not deadlocked.
-            outcome.status = TaskStatus::kFailed;
-            outcome.errors.emplace_back(e.what());
-            finalize_outcome(state, groups[g], outcome);
-          }
-        }
-
-        {
-          std::scoped_lock lock(sched_mutex);
-          status[g] = outcome.status;
-          const bool failed = outcome.status == TaskStatus::kFailed ||
-                              outcome.status == TaskStatus::kPartial;
-          if (failed) {
-            failures.insert(failures.end(), outcome.errors.begin(),
-                            outcome.errors.end());
-            if (fail_fast) {
-              abort = true;
-              cv.notify_all();
-              return;
-            }
-          }
-          ++completed;
-          for (const std::size_t s : dag.succs[g]) {
-            if (--indeg[s] == 0) ready.push_back(s);
-          }
+        if (fail_fast) {
+          abort = true;
           cv.notify_all();
+          return;
         }
       }
-    });
+      ++completed;
+      for (const std::size_t s : dag.succs[g]) {
+        if (--indeg[s] == 0) ready.push(s);
+      }
+      cv.notify_all();
+    }
+  };
+
+  if (serial) {
+    worker();
+  } else {
+    const std::size_t n_workers = std::min<std::size_t>(
+        std::max<std::size_t>(options.max_threads, 1), groups.size());
+    std::vector<std::thread> workers;
+    workers.reserve(n_workers);
+    for (std::size_t w = 0; w < n_workers; ++w) workers.emplace_back(worker);
+    for (std::thread& w : workers) w.join();
   }
-  for (std::thread& w : workers) w.join();
-  if (fail_fast && !failures.empty()) throw_aggregated(failures);
+  if (fail_fast && !failures.empty()) {
+    if (failures.size() == 1 && structural) std::rethrow_exception(structural);
+    throw_aggregated(failures);
+  }
   if (halted) {
-    throw RunCancelled("flow '" + state.flow->name() +
-                       "': run cancelled with " + std::to_string(completed) +
-                       " of " + std::to_string(groups.size()) +
-                       " task groups completed; resumable");
+    const std::string count = std::to_string(completed) + " of " +
+                              std::to_string(groups.size()) + " task groups";
+    throw RunCancelled("flow '" + state.flow->name() + "': run cancelled " +
+                       (serial ? "after " + count
+                               : "with " + count + " completed") +
+                       "; resumable");
   }
   return std::move(state.result);
 }
@@ -866,28 +855,31 @@ ExecResult run_filtered(RunState& state, const std::vector<TaskGroup>& groups) {
 /// `replaces` names the interrupted run a resume supersedes: it is closed
 /// ("resumed") only *after* the replacement's run-begin frame is journaled,
 /// so a crash or throw anywhere before this point leaves it resumable.
-void begin_run_intents(RunState& state, const TaskGraph& flow,
-                       const ExecOptions& options, NodeId goal,
+void begin_run_intents(RunState& state, NodeId goal,
                        std::optional<std::uint64_t> replaces) {
-  if (!options.journal_run) {
-    if (replaces) state.db->end_run(*replaces, "resumed");
-    return;
-  }
-  std::uint32_t next = 0;
-  for (const NodeId n : flow.nodes()) state.compact[n.value()] = next++;
+  const TaskGraph& flow = *state.flow;
+  const ExecOptions& options = *state.options;
   history::RunRecord run;
-  run.flow_name = flow.name();
-  run.user = options.user;
-  run.options = encode_exec_options(options);
-  run.seed = options.fault.seed;
-  if (goal.valid()) {
-    run.goal = flow.schema().entity_name(flow.node(goal).type);
-    run.goal_node = static_cast<std::int64_t>(state.compact.at(goal.value()));
+  if (options.journal_run) {
+    std::uint32_t next = 0;
+    for (const NodeId n : flow.nodes()) state.compact[n.value()] = next++;
+    run.flow_name = flow.name();
+    run.user = options.user;
+    run.options = encode_exec_options(options);
+    run.seed = options.fault.seed;
+    if (goal.valid()) {
+      run.goal = flow.schema().entity_name(flow.node(goal).type);
+      run.goal_node =
+          static_cast<std::int64_t>(state.compact.at(goal.value()));
+    }
+    run.flow_text = flow.save();
   }
-  run.flow_text = flow.save();
-  state.run_id = state.db->begin_run(std::move(run));
+  std::scoped_lock lock(*state.lock);
+  if (options.journal_run) {
+    state.run_id = state.db->begin_run(std::move(run));
+    state.journal = true;
+  }
   if (replaces) state.db->end_run(*replaces, "resumed");
-  state.journal = true;
 }
 
 /// Runs the groups and closes the run record: "complete" when every task
@@ -895,20 +887,47 @@ void begin_run_intents(RunState& state, const TaskGraph& flow,
 ExecResult run_to_completion(RunState& state,
                              const std::vector<TaskGroup>& groups) {
   if (!state.journal) return run_filtered(state, groups);
+  const auto close = [&](std::string_view outcome) {
+    std::scoped_lock lock(*state.lock);
+    state.db->end_run(state.run_id, outcome);
+  };
   try {
     ExecResult result = run_filtered(state, groups);
-    state.db->end_run(state.run_id,
-                      result.complete() ? "complete" : "failed");
+    close(result.complete() ? "complete" : "failed");
     return result;
   } catch (const RunCancelled&) {
-    // Deliberately NOT closed: a cancelled run is an interrupted run.  The
-    // open record is exactly what `Executor::resume` (and crash recovery's
-    // seal sweep) need to pick the flow back up.
+    // Deliberately NOT closed: a cancelled run is an interrupted run, and
+    // the open record is what `Executor::resume` picks the flow back up
+    // from.  Every started group has finished, so there are no partials to
+    // sweep; sealing the window now keeps later work (other runs' products,
+    // decompose) from ever being swept as this run's.
+    std::scoped_lock lock(*state.lock);
+    state.db->seal_run(state.run_id);
     throw;
   } catch (...) {
-    state.db->end_run(state.run_id, "failed");
+    close("failed");
     throw;
   }
+}
+
+/// The shared tail of `run` and `run_goal`: seeds the bindings of the
+/// leaves among `nodes`, opens the run record and runs `groups`.
+ExecResult launch(RunState& state, const std::vector<NodeId>& nodes,
+                  const std::vector<TaskGroup>& groups, NodeId goal,
+                  std::optional<std::uint64_t> replaces) {
+  const TaskGraph& flow = *state.flow;
+  for (const NodeId n : nodes) {
+    if (flow.is_leaf(n)) state.env[n.value()] = flow.bindings(n);
+  }
+  // A cancel raised before the run-begin frame leaves no trace at all — in
+  // particular, a resume's interrupted run is not closed "resumed" for a
+  // replacement that never opened.
+  if (cancel_requested(state)) {
+    throw RunCancelled("flow '" + flow.name() +
+                       "': run cancelled before it started");
+  }
+  begin_run_intents(state, goal, replaces);
+  return run_to_completion(state, groups);
 }
 
 }  // namespace
@@ -967,24 +986,8 @@ ExecResult Executor::run_impl(const TaskGraph& flow,
                     flow.schema().entity_name(flow.node(unbound.front()).type) +
                     "' is not bound to an instance");
   }
-  RunState state;
-  state.flow = &flow;
-  state.db = db_;
-  state.tools = tools_;
-  state.options = &options;
-  state.cancel = cancel_;
-  for (const NodeId n : flow.nodes()) {
-    if (flow.is_leaf(n)) state.env[n.value()] = flow.bindings(n);
-  }
-  // A cancel raised before the run-begin frame leaves no trace at all — in
-  // particular, a resume's interrupted run is not closed "resumed" for a
-  // replacement that never opened.
-  if (cancel_requested(state)) {
-    throw RunCancelled("flow '" + flow.name() +
-                       "': run cancelled before it started");
-  }
-  begin_run_intents(state, flow, options, NodeId(), replaces);
-  return run_to_completion(state, flow.task_groups());
+  RunState state(flow, *db_, *tools_, options, cancel_);
+  return launch(state, flow.nodes(), flow.task_groups(), NodeId(), replaces);
 }
 
 ExecResult Executor::resume(std::uint64_t run_id) {
@@ -1041,19 +1044,6 @@ ExecResult Executor::run_goal_impl(const TaskGraph& flow, NodeId goal,
                       "' is not bound");
     }
   }
-  RunState state;
-  state.flow = &flow;
-  state.db = db_;
-  state.tools = tools_;
-  state.options = &options;
-  state.cancel = cancel_;
-  for (const NodeId n : keep) {
-    if (flow.is_leaf(n)) state.env[n.value()] = flow.bindings(n);
-  }
-  if (cancel_requested(state)) {
-    throw RunCancelled("flow '" + flow.name() +
-                       "': run cancelled before it started");
-  }
   // Keep a group when any of its outputs feeds the goal; a multi-output
   // task naturally produces its siblings along the way.
   std::vector<TaskGroup> groups;
@@ -1064,8 +1054,8 @@ ExecResult Executor::run_goal_impl(const TaskGraph& flow, NodeId goal,
         });
     if (needed) groups.push_back(group);
   }
-  begin_run_intents(state, flow, options, goal, replaces);
-  return run_to_completion(state, groups);
+  RunState state(flow, *db_, *tools_, options, cancel_);
+  return launch(state, keep, groups, goal, replaces);
 }
 
 }  // namespace herc::exec

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,6 +93,12 @@ struct ExecOptions {
   /// tasks.  Disable for throwaway executions that should leave no run
   /// log.
   bool journal_run = true;
+  /// Taken exclusively around each commit section (input snapshot,
+  /// `tstart`, products with their `tcover`, `tfin`, `runb`/`rune`), never
+  /// around tool bodies: a caller sharing the database (the server's
+  /// session lock) lets others read, write and run meanwhile.  Null: a
+  /// lock private to the run.  Not journaled.
+  std::shared_mutex* commit_lock = nullptr;
 };
 
 /// Per-task execution verdict.
@@ -147,7 +154,7 @@ struct ExecResult {
 
 /// Thrown when the cooperative cancellation flag (`set_cancel_flag`) stops
 /// a run before every task group was scheduled.  The run record is left
-/// OPEN: a cancelled run is an interrupted run, resumable via
+/// OPEN but sealed: a cancelled run is an interrupted run, resumable via
 /// `Executor::resume` exactly like a crash — which is how a serving
 /// process winds down an in-flight flow on SIGTERM without losing it.
 class RunCancelled : public support::ExecError {
@@ -164,8 +171,8 @@ class Executor {
   /// the flag reads true, `run`/`run_goal`/`resume` stop launching task
   /// groups: tool invocations already in flight finish and journal
   /// normally, unstarted groups never start, and the call throws
-  /// `RunCancelled` leaving the run record open (resumable).  The flag
-  /// must outlive the executor or be detached first.
+  /// `RunCancelled` leaving the run record open and sealed (resumable).
+  /// The flag must outlive the executor or be detached first.
   void set_cancel_flag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
 
   /// Executes every task of `flow`.  Preconditions: the flow checks

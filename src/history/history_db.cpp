@@ -229,17 +229,17 @@ std::vector<InstanceId> HistoryDb::partial_products() const {
   std::vector<InstanceId> out;
   if (!any_open) return out;
   std::unordered_set<std::uint32_t> reported;
-  for (std::size_t r = 0; r < runs_.size(); ++r) {
-    const RunRecord& run = runs_[r];
+  for (const RunRecord& run : runs_) {
     if (!run.open()) continue;
-    // Sweep only the run's own window.  Runs execute sequentially, so the
-    // next run's begin bounds it even when no seal frame survived; the
-    // seal recovery journals bounds work recorded in later sessions.
-    std::size_t end = run.sealed() ? run.sweep_end : instances_.size();
-    if (r + 1 < runs_.size()) {
-      end = std::min<std::size_t>(end, runs_[r + 1].db_size_at_begin);
-    }
-    end = std::min(end, instances_.size());
+    // Sweep only the run's own window: from its begin to its seal.  Runs
+    // may overlap, so a later run's begin does not bound it — an
+    // interleaved run's products inside the window are covered (or are
+    // that open run's partials too).  An open run is unsealed only while
+    // it is in flight or after a crash; a cancelled run seals when it
+    // stops, and recovery seals the rest, so work recorded afterwards
+    // (later runs, decompose) never lands in an unsealed window.
+    const std::size_t end = std::min<std::size_t>(
+        run.sealed() ? run.sweep_end : instances_.size(), instances_.size());
     for (std::size_t i = run.db_size_at_begin; i < end; ++i) {
       const Instance& inst = instances_[i];
       // Imports are designer-supplied, not task products; failure records

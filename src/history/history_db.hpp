@@ -77,9 +77,10 @@ struct RunRecord {
   /// run produced that is *not* listed here is a partial product.
   std::vector<data::InstanceId> covered;
   /// One past the last instance index the crash-recovery sweep may treat
-  /// as this run's partial product.  `kUnsealed` until the first recovery
-  /// seals it; instances recorded after the seal (post-crash work in an
-  /// unresumed store) are never this run's partials.
+  /// as this run's partial product.  `kUnsealed` while the run is in
+  /// flight; a cancelled run seals itself when it stops, and crash
+  /// recovery seals the rest.  Instances recorded after the seal
+  /// (post-crash work in an unresumed store) are never this run's partials.
   static constexpr std::uint32_t kUnsealed = 0xffffffffu;
   std::uint32_t sweep_end = kUnsealed;
 
@@ -212,11 +213,13 @@ class HistoryDb {
   /// crash left behind, resumable via `Executor::resume`.
   [[nodiscard]] std::vector<const RunRecord*> open_runs() const;
   /// OK, non-import instances recorded inside an open run's sweep window
-  /// (from `db_size_at_begin` to its seal, the next run's begin, or the
-  /// table end, whichever comes first) whose producing combination never
-  /// completed (not in any run's `covered` list) — the candidates crash
-  /// recovery quarantines.  Instances outside every open run's window
-  /// (post-recovery work, later runs' products) are never reported.
+  /// (from `db_size_at_begin` to its seal, or the table end while it is
+  /// unsealed) whose producing combination never completed (not in any
+  /// run's `covered` list) — the candidates crash recovery quarantines.
+  /// Runs may interleave, so a window can hold other runs' products: the
+  /// covered ones are skipped, and uncovered ones are partials of an open
+  /// run either way.  Instances outside every open run's window
+  /// (post-recovery work, work after a cancelled run) are never reported.
   [[nodiscard]] std::vector<data::InstanceId> partial_products() const;
 
   // ---- reading -------------------------------------------------------------

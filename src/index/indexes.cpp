@@ -292,6 +292,7 @@ void HistoryIndexes::rebuild() {
   img_ = IndexImage{};
   trigrams_.clear();
   trigrams_covered_ = 0;
+  annotated_.clear();
   const schema::TaskSchema& schema = db_->schema();
   const std::size_t n = db_->size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -356,13 +357,14 @@ HistoryIndexes::OpenReport HistoryIndexes::open(
   img_ = std::move(loaded);
   trigrams_.clear();
   trigrams_covered_ = 0;
+  annotated_.clear();
   try {
     for (std::size_t i = static_cast<std::size_t>(img_.seq);
          i < journal_records.size(); ++i) {
       for (const std::string& line :
            support::split(journal_records[i], '\n')) {
         if (support::trim(line).empty()) continue;
-        img_.apply_line(line);
+        apply(line);
       }
       ++rep.caught_up;
     }
@@ -383,6 +385,7 @@ HistoryIndexes::OpenReport HistoryIndexes::open(
 
 void HistoryIndexes::save(const std::string& dir, std::uint64_t epoch,
                           std::uint64_t seq) {
+  prune_annotated();
   img_.epoch = epoch;
   img_.seq = seq;
   // Plain write-temp-and-rename (no fsync): unlike the journal, the index
@@ -413,9 +416,47 @@ void HistoryIndexes::save(const std::string& dir, std::uint64_t epoch,
 void HistoryIndexes::on_lines(std::string_view lines) {
   for (const std::string& line : support::split(lines, '\n')) {
     if (support::trim(line).empty()) continue;
-    img_.apply_line(line);
+    apply(line);
   }
   sync_trigrams();
+}
+
+void HistoryIndexes::apply(std::string_view line) {
+  img_.apply_line(line);
+  if (line.starts_with("annot|")) {
+    annotated_.insert(support::RecordReader(line).next_uint32());
+  }
+}
+
+void HistoryIndexes::prune_annotated() {
+  if (annotated_.empty()) return;
+  // Each annotated id keeps exactly the tokens a rebuild would post it
+  // under.  One pass over the postings: the image is rewritten whole anyway,
+  // and the bitmap keeps the pass to one bit test per unannotated posting.
+  std::vector<bool> annotated(img_.instances, false);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> keep;  // (id, token)
+  for (const std::uint32_t id : annotated_) {
+    annotated[id] = true;
+    const history::Instance& inst = db_->instance(InstanceId(id));
+    for (const std::string_view text : {std::string_view(inst.name),
+                                        std::string_view(inst.comment)}) {
+      for (const std::string& tok : tokenize(text)) {
+        if (const auto it = img_.token_ids.find(tok);
+            it != img_.token_ids.end()) {
+          keep.emplace_back(id, it->second);
+        }
+      }
+    }
+  }
+  std::sort(keep.begin(), keep.end());
+  for (std::uint32_t tid = 0; tid < img_.postings.size(); ++tid) {
+    std::erase_if(img_.postings[tid], [&](std::uint32_t id) {
+      return annotated[id] &&
+             !std::binary_search(keep.begin(), keep.end(),
+                                 std::make_pair(id, tid));
+    });
+  }
+  annotated_.clear();
 }
 
 void HistoryIndexes::on_reset() { rebuild(); }

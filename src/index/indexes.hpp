@@ -26,7 +26,10 @@
 // the index can never be *wrong*, only cold.  Postings are candidate
 // supersets by contract (the planner re-verifies every candidate); stale
 // entries from annotation replacement are therefore harmless and are kept
-// rather than tombstoned.
+// between images.  Writing an image prunes them: the postings of every id
+// annotated since the last image shrink to the tokens of its current name
+// and comment, so a checkpoint's image holds nothing its snapshot does not
+// justify.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +37,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -155,7 +159,8 @@ class HistoryIndexes final : public history::SecondaryIndex,
   void rebuild();
 
   /// Writes `dir`'s index file stamped (`epoch`, `seq`) — the store's
-  /// current epoch and journal sequence, which together date the image.
+  /// current epoch and journal sequence, which together date the image —
+  /// after pruning the stale postings of ids annotated since the last one.
   void save(const std::string& dir, std::uint64_t epoch, std::uint64_t seq);
 
   [[nodiscard]] static std::string file_path(const std::string& dir);
@@ -185,6 +190,11 @@ class HistoryIndexes final : public history::SecondaryIndex,
   /// Extends the trigram map over tokens added since the last sync (the
   /// dictionary only grows, so this is an append).
   void sync_trigrams();
+  /// Folds one record line in, noting annotated ids for the next prune.
+  void apply(std::string_view line);
+  /// Shrinks the postings of every id in `annotated_` to the tokens of its
+  /// current name and comment, then clears the set.
+  void prune_annotated();
   /// Token ids whose text contains `keyword` (already lowercased,
   /// token-charset, length >= 3).
   [[nodiscard]] std::vector<std::uint32_t> matching_tokens(
@@ -195,6 +205,9 @@ class HistoryIndexes final : public history::SecondaryIndex,
   /// Trigram -> token ids whose text contains it (for substring keywords).
   std::unordered_map<std::string, std::vector<std::uint32_t>> trigrams_;
   std::size_t trigrams_covered_ = 0;
+  /// Ids annotated since the last image: their postings may still hold
+  /// the tokens of a replaced name or comment.
+  std::unordered_set<std::uint32_t> annotated_;
   bool attached_ = false;
 };
 

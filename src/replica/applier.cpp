@@ -289,7 +289,9 @@ ApplyOutcome ReplicaApplier::apply_frame(const JournalShipment& shipment) {
   for (const std::string& line : support::split(shipment.lines, '\n')) {
     db_->apply_saved_line(line);
   }
-  applied_.fetch_add(1, std::memory_order_relaxed);
+  // Release: a caller that sees the count (`frames_applied`) also sees
+  // the frame's records.
+  applied_.fetch_add(1, std::memory_order_release);
   tail_checksum_ = storage::frame_checksum(shipment.lines);
   has_tail_ = true;
   publish_position(epoch, seq + 1);

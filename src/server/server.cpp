@@ -41,7 +41,8 @@ struct Server::Connection {
   std::uint64_t id = 0;
   std::string peer;
   /// Applied via `DesignSession::set_user` under the exclusive lock before
-  /// every write command, so concurrent clients stamp their own products.
+  /// every write command, and handed to every run as it starts, so
+  /// concurrent clients stamp their own products.
   std::string user = "designer";
   std::ostringstream out;
   std::unique_ptr<cli::Interpreter> interp;
@@ -409,7 +410,7 @@ std::string Server::execute_command(Connection& conn,
   }
 
   const cli::CommandAccess access = cli::command_access(line);
-  if (options_.read_only && access == cli::CommandAccess::kWrite) {
+  if (options_.read_only && access != cli::CommandAccess::kRead) {
     stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
     return encode_result(Severity::kError,
                          "read-only replica: '" + (args.empty()
@@ -423,7 +424,15 @@ std::string Server::execute_command(Connection& conn,
     std::shared_lock lock(session_mutex_);
     stats_.read_commands.fetch_add(1, std::memory_order_relaxed);
     status = conn.interp->execute(line, std::move(body));
+  } else if (access == cli::CommandAccess::kRun) {
+    // No session lock: the run takes it for its commit sections only.
+    std::shared_lock gate(run_gate_);
+    stats_.write_commands.fetch_add(1, std::memory_order_relaxed);
+    conn.interp->serve_runs(&session_mutex_, conn.user);
+    status = conn.interp->execute(line, std::move(body));
   } else {
+    std::unique_lock gate(run_gate_, std::defer_lock);
+    if (cli::waits_for_runs(line)) gate.lock();
     std::unique_lock lock(session_mutex_);
     stats_.write_commands.fetch_add(1, std::memory_order_relaxed);
     session_.set_user(conn.user);

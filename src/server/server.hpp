@@ -4,19 +4,24 @@
 // activity.  The server turns one session — typically opened over a
 // durable store — into a shared resource:
 //
-//   - Reader-writer access: commands classified as reads
-//     (`cli::command_access`) execute concurrently under a shared lock
-//     (queries, browsing, flow building in the connection's own
-//     workspace); mutating commands serialize under an exclusive lock and
-//     flow through the session's MutationListener into the write-ahead
-//     journal exactly as they would in a local shell.
+//   - Reader-writer access in three lock classes (`cli::command_access`):
+//     reads execute concurrently under a shared lock (queries, browsing,
+//     flow building in the connection's own workspace); writes serialize
+//     under an exclusive lock and flow through the session's
+//     MutationListener into the write-ahead journal exactly as they would
+//     in a local shell; a `run` holds no session lock while its tools
+//     execute and takes the exclusive lock only for its commit sections,
+//     so runs, imports, annotations and reads overlap.  A run gate keeps
+//     every other write (checkpoint, schema extend, decompose, resume, ...)
+//     from overlapping an in-flight run.
 //   - Per-connection pipelining: each connection has a reader thread
 //     feeding a bounded command queue and a worker thread answering in
 //     order.  A full queue blocks the reader — TCP backpressure is the
 //     flow control.
 //   - Per-connection identity: `session user` is intercepted and applied
-//     under the exclusive lock before each write, so concurrent clients'
-//     products carry the right creating user.
+//     under the exclusive lock before each write, and handed to each run
+//     when it starts, so concurrent clients' products carry the right
+//     creating user.
 //   - Graceful shutdown: `stop()` raises the session's cooperative cancel
 //     flag (an in-flight `run` stops launching tasks and its run record
 //     stays open), refuses queued commands, seals every open run and
@@ -218,7 +223,46 @@ class Server {
   std::function<JournalPosition()> position_source_;
   std::chrono::steady_clock::time_point started_{};
 
-  /// Readers share, writers exclude; guards every session access.
+  /// Admits runs together (shared) and the writes that must not overlap
+  /// one (`cli::waits_for_runs`) alone (exclusive).  Waiting writers win:
+  /// once one waits, new runs queue behind it, so a `checkpoint` waits
+  /// only for the runs already in flight.  (`std::shared_mutex` prefers
+  /// readers under libstdc++ and would starve it behind overlapping runs.)
+  class RunGate {
+   public:
+    void lock_shared() {
+      std::unique_lock lock(mutex_);
+      cv_.wait(lock, [&] { return !writer_ && writers_waiting_ == 0; });
+      ++runs_;
+    }
+    void unlock_shared() {
+      std::scoped_lock lock(mutex_);
+      if (--runs_ == 0) cv_.notify_all();
+    }
+    void lock() {
+      std::unique_lock lock(mutex_);
+      ++writers_waiting_;
+      cv_.wait(lock, [&] { return !writer_ && runs_ == 0; });
+      --writers_waiting_;
+      writer_ = true;
+    }
+    void unlock() {
+      std::scoped_lock lock(mutex_);
+      writer_ = false;
+      cv_.notify_all();
+    }
+
+   private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::size_t runs_ = 0;
+    std::size_t writers_waiting_ = 0;
+    bool writer_ = false;
+  };
+  RunGate run_gate_;
+
+  /// Readers share, writers exclude; guards every session access.  A run
+  /// takes it only for its commit sections (and shared for its report).
   /// `mutable`: `stats` reads the journal position under the shared lock
   /// from a const rendering path.
   mutable std::shared_mutex session_mutex_;

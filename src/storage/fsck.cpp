@@ -446,9 +446,10 @@ void audit_store(Audit& audit, FsckReport& report,
 
   // Run log: interrupted runs and their uncovered (partial) products.
   // Coverage unions over ALL runs (closed runs keep their lists), and the
-  // sweep is confined to each open run's own window — mirroring
-  // `HistoryDb::partial_products`, so repair never quarantines valid work
-  // recorded after the crash.
+  // sweep is confined to each open run's own window, from its begin to its
+  // seal — mirroring `HistoryDb::partial_products` (runs may interleave,
+  // so a later run's begin does not bound it), so repair never
+  // quarantines valid work recorded after the crash.
   std::unordered_set<std::int64_t> covered;
   for (const AuditRun& run : audit.runs) {
     for (const std::int64_t id : run.covered) {
@@ -463,16 +464,12 @@ void audit_store(Audit& audit, FsckReport& report,
   // The partial sweep runs first: an open run's verdict depends on whether
   // its window still holds unquarantined partials.
   std::unordered_set<std::uint64_t> dirty_runs;
-  for (std::size_t r = 0; r < audit.runs.size(); ++r) {
-    const AuditRun& run = audit.runs[r];
+  for (const AuditRun& run : audit.runs) {
     if (!run.outcome.empty()) continue;
-    std::size_t end = run.sweep_end >= 0
-                          ? static_cast<std::size_t>(run.sweep_end)
-                          : audit.instances.size();
-    if (r + 1 < audit.runs.size()) {
-      end = std::min<std::size_t>(end, audit.runs[r + 1].db_size);
-    }
-    end = std::min(end, audit.instances.size());
+    const std::size_t end = std::min<std::size_t>(
+        run.sweep_end >= 0 ? static_cast<std::size_t>(run.sweep_end)
+                           : audit.instances.size(),
+        audit.instances.size());
     for (std::size_t i = run.db_size; i < end; ++i) {
       AuditInstance& inst = audit.instances[i];
       const bool is_import = inst.tool < 0 && inst.inputs.empty();

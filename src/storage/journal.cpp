@@ -1,5 +1,6 @@
 #include "storage/journal.hpp"
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -15,6 +16,7 @@
 namespace herc::storage {
 
 using support::HistoryError;
+using support::StorageError;
 
 namespace {
 
@@ -45,15 +47,45 @@ std::uint64_t read_u64(std::string_view bytes, std::size_t at) {
          (static_cast<std::uint64_t>(read_u32(bytes, at + 4)) << 32);
 }
 
-void fsync_file(std::FILE* file) {
-#ifdef HERC_HAVE_FSYNC
-  ::fsync(::fileno(file));
-#else
-  (void)file;
-#endif
+std::atomic<detail::IoFaultHook> g_io_fault_hook{nullptr};
+
+/// The hook's verdict on `call` (0 = let it run).
+int injected_errno(std::string_view call) {
+  const detail::IoFaultHook hook = g_io_fault_hook.load();
+  return hook == nullptr ? 0 : hook(call);
+}
+
+[[noreturn]] void io_failed(std::string_view call, const std::string& path,
+                            int error) {
+  throw StorageError("storage: " + std::string(call) + " of '" + path +
+                     "' failed: " + std::strerror(error));
 }
 
 }  // namespace
+
+namespace detail {
+
+void set_io_fault_hook(IoFaultHook hook) { g_io_fault_hook.store(hook); }
+
+void flush_file(std::FILE* file, const std::string& path) {
+  if (const int error = injected_errno("fflush")) {
+    io_failed("fflush", path, error);
+  }
+  if (std::fflush(file) != 0) io_failed("fflush", path, errno);
+}
+
+void sync_fd(int fd, const std::string& path) {
+  if (const int error = injected_errno("fsync")) {
+    io_failed("fsync", path, error);
+  }
+#ifdef HERC_HAVE_FSYNC
+  if (::fsync(fd) != 0) io_failed("fsync", path, errno);
+#else
+  (void)fd;
+#endif
+}
+
+}  // namespace detail
 
 std::uint32_t frame_checksum(std::string_view payload) {
   std::string length;
@@ -105,12 +137,18 @@ Journal Journal::create(const std::string& path, std::uint64_t epoch,
   }
   std::string header(kJournalMagic);
   put_u64(header, epoch);
-  if (std::fwrite(header.data(), 1, header.size(), file) != header.size()) {
+  try {
+    if (std::fwrite(header.data(), 1, header.size(), file) != header.size()) {
+      throw StorageError("journal: cannot write header to '" + path + "'");
+    }
+    detail::flush_file(file, path);
+    if (options.sync != SyncPolicy::kNone) {
+      detail::sync_fd(::fileno(file), path);
+    }
+  } catch (...) {
     std::fclose(file);
-    throw HistoryError("journal: cannot write header to '" + path + "'");
+    throw;
   }
-  std::fflush(file);
-  if (options.sync != SyncPolicy::kNone) fsync_file(file);
   return Journal(file, path, epoch, header.size(), options);
 }
 
@@ -158,7 +196,8 @@ Journal::Journal(Journal&& other) noexcept
       bytes_(other.bytes_),
       appended_(other.appended_),
       since_sync_(other.since_sync_),
-      options_(other.options_) {
+      options_(other.options_),
+      poison_(std::move(other.poison_)) {
   other.file_ = nullptr;
 }
 
@@ -172,6 +211,7 @@ Journal& Journal::operator=(Journal&& other) noexcept {
     appended_ = other.appended_;
     since_sync_ = other.since_sync_;
     options_ = other.options_;
+    poison_ = std::move(other.poison_);
     other.file_ = nullptr;
   }
   return *this;
@@ -181,10 +221,38 @@ Journal::~Journal() { close(); }
 
 void Journal::close() {
   if (file_ == nullptr) return;
-  std::fflush(file_);
-  if (options_.sync != SyncPolicy::kNone) fsync_file(file_);
+  // Best effort (this runs in the destructor): a healthy journal's callers
+  // sync explicitly when they need the bytes stable.
+  if (!poisoned()) {
+    try {
+      detail::flush_file(file_, path_);
+      if (options_.sync != SyncPolicy::kNone) {
+        detail::sync_fd(::fileno(file_), path_);
+      }
+    } catch (const StorageError&) {  // NOLINT(bugprone-empty-catch)
+    }
+  }
   std::fclose(file_);
   file_ = nullptr;
+}
+
+void Journal::refuse_when_poisoned() const {
+  if (poisoned()) {
+    throw StorageError("journal: '" + path_ +
+                       "' refuses writes after an I/O failure (" + poison_ +
+                       "); reopen the store to recover");
+  }
+}
+
+template <typename Io>
+void Journal::fail_stop(Io&& io) {
+  refuse_when_poisoned();
+  try {
+    io();
+  } catch (const StorageError& e) {
+    poison(e.what());
+    throw;
+  }
 }
 
 void Journal::append(std::string_view payload) {
@@ -193,10 +261,12 @@ void Journal::append(std::string_view payload) {
   put_u32(frame, static_cast<std::uint32_t>(payload.size()));
   put_u32(frame, frame_checksum(payload));
   frame += payload;
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    throw HistoryError("journal: write failed on '" + path_ +
-                       "': " + std::strerror(errno));
-  }
+  fail_stop([&] {
+    if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
+      throw StorageError("journal: write failed on '" + path_ +
+                         "': " + std::strerror(errno));
+    }
+  });
   bytes_ += frame.size();
   ++appended_;
   switch (options_.sync) {
@@ -212,8 +282,10 @@ void Journal::append(std::string_view payload) {
 }
 
 void Journal::sync() {
-  std::fflush(file_);
-  fsync_file(file_);
+  fail_stop([&] {
+    detail::flush_file(file_, path_);
+    detail::sync_fd(::fileno(file_), path_);
+  });
   since_sync_ = 0;
 }
 

@@ -69,8 +69,29 @@ struct ScanResult {
 /// and everything before it is the recovered prefix.
 [[nodiscard]] ScanResult scan_journal(std::string_view bytes);
 
+namespace detail {
+
+/// Test seam over the store's flush and fsync calls.  When a hook is
+/// installed, every such call asks it first with the call's name
+/// ("fflush" or "fsync"); a nonzero return fails the call with that errno.
+/// Never installed outside tests.
+using IoFaultHook = int (*)(std::string_view call);
+void set_io_fault_hook(IoFaultHook hook);
+
+/// `fflush(file)` / `fsync(fd)`, throwing `support::StorageError` naming
+/// `path` when the call fails.
+void flush_file(std::FILE* file, const std::string& path);
+void sync_fd(int fd, const std::string& path);
+
+}  // namespace detail
+
 /// An open journal file, append side.  Not internally synchronized: callers
 /// serialize appends exactly as they already serialize history mutations.
+///
+/// I/O failure is fail-stop.  A failed write, flush or fsync throws
+/// `support::StorageError` and poisons the journal: every later append or
+/// sync throws too, until the store is reopened and recovery re-reads
+/// what actually reached the disk.  Nothing is retried.
 class Journal {
  public:
   /// Creates (or truncates) the journal with a fresh header for `epoch`.
@@ -90,7 +111,8 @@ class Journal {
   Journal& operator=(Journal&& other) noexcept;
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
-  /// Flushes (and, unless `kNone`, fsyncs) before closing.
+  /// Flushes (and, unless `kNone`, fsyncs) before closing, unless
+  /// poisoned; failures here are ignored (see `sync` for a checked flush).
   ~Journal();
 
   /// Appends one frame and applies the sync policy.
@@ -98,6 +120,11 @@ class Journal {
 
   /// Forces everything appended so far to stable storage.
   void sync();
+
+  /// Refuses every later append and sync with `why` (an I/O failure this
+  /// journal's store saw elsewhere, e.g. while writing a snapshot).
+  void poison(std::string why) { poison_ = std::move(why); }
+  [[nodiscard]] bool poisoned() const { return !poison_.empty(); }
 
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
@@ -108,6 +135,11 @@ class Journal {
   Journal(std::FILE* file, std::string path, std::uint64_t epoch,
           std::uint64_t bytes, JournalOptions options);
   void close();
+  /// Throws the poisoned journal's refusal.
+  void refuse_when_poisoned() const;
+  /// Runs `io`; on `StorageError` poisons the journal and rethrows.
+  template <typename Io>
+  void fail_stop(Io&& io);
 
   std::FILE* file_ = nullptr;
   std::string path_;
@@ -116,6 +148,8 @@ class Journal {
   std::uint64_t appended_ = 0;
   std::uint64_t since_sync_ = 0;
   JournalOptions options_;
+  /// Why the journal refuses writes; empty while healthy.
+  std::string poison_;
 };
 
 }  // namespace herc::storage

@@ -38,12 +38,19 @@ std::string read_file(const std::string& path) {
 void fsync_path(const std::string& path) {
 #ifdef HERC_HAVE_FSYNC
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
+  if (fd < 0) {
+    throw support::StorageError("storage: cannot open '" + path +
+                                "' to fsync it: " + std::strerror(errno));
   }
+  try {
+    detail::sync_fd(fd, path);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
 #else
-  (void)path;
+  detail::sync_fd(-1, path);
 #endif
 }
 
@@ -70,7 +77,8 @@ void write_file_atomic(const std::string& path, std::string_view content) {
     throw HistoryError("store: cannot rename '" + tmp + "' over '" + path +
                        "': " + ec.message());
   }
-  fsync_path(fs::path(path).parent_path().string());
+  const fs::path parent = fs::path(path).parent_path();
+  fsync_path(parent.empty() ? "." : parent.string());
 }
 
 std::string DurableHistory::schema_path() const {
@@ -195,8 +203,17 @@ DurableHistory::~DurableHistory() {
   // `journal_`'s destructor flushes (and fsyncs unless kNone).
 }
 
+Journal& DurableHistory::journal() {
+  if (!journal_) {
+    throw support::StorageError("store '" + dir_ +
+                                "': no journal after a failed checkpoint; "
+                                "reopen the store to recover");
+  }
+  return *journal_;
+}
+
 void DurableHistory::on_mutation(std::string_view lines) {
-  journal_->append(lines);
+  journal().append(lines);
   const std::uint64_t seq = journal_seq_++;
   ++records_;
   bytes_ += lines.size();
@@ -213,7 +230,14 @@ void DurableHistory::checkpoint() {
   support::RecordWriter meta("snap");
   meta.field(static_cast<std::int64_t>(next));
   meta.field(static_cast<std::uint32_t>(db_->size()));
-  write_file_atomic(snapshot_path(), meta.str() + "\n" + db_->save());
+  try {
+    write_file_atomic(snapshot_path(), meta.str() + "\n" + db_->save());
+  } catch (const support::StorageError& e) {
+    // The rename may or may not have reached the disk: appending to the
+    // old-epoch journal could then lose records behind a newer snapshot.
+    journal().poison(e.what());
+    throw;
+  }
   // A crash here leaves a journal whose epoch predates the new snapshot;
   // recovery discards it, and every record it held is inside the snapshot.
   // Close the old handle first: a buffered flush after the truncation
@@ -226,7 +250,7 @@ void DurableHistory::checkpoint() {
   if (tap_ != nullptr) tap_->on_checkpoint(next);
 }
 
-void DurableHistory::sync() { journal_->sync(); }
+void DurableHistory::sync() { journal().sync(); }
 
 void DurableHistory::adopt(history::HistoryDb&& seed) {
   if (db_->size() != 0) {
@@ -240,7 +264,9 @@ void DurableHistory::adopt(history::HistoryDb&& seed) {
 }
 
 std::unique_ptr<history::HistoryDb> DurableHistory::release() {
-  journal_->sync();
+  // A poisoned journal has nothing left to make durable: detaching still
+  // works, and reopening the store recovers what reached the disk.
+  if (journal_ && !journal_->poisoned()) journal_->sync();
   db_->attach_listener(nullptr);
   return std::move(db_);
 }

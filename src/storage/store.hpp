@@ -58,7 +58,8 @@ struct RecoveryReport {
 
 /// Durable file replacement: write `path`.tmp, flush + fsync, rename over
 /// `path`, fsync the directory so the rename itself is durable.  Shared by
-/// checkpointing and fsck repair.
+/// checkpointing and fsck repair.  A failed flush or fsync throws
+/// `support::StorageError`.
 void write_file_atomic(const std::string& path, std::string_view content);
 
 /// Observer of the journal frame stream — the replication shipping hook.
@@ -104,7 +105,8 @@ class DurableHistory final : public history::MutationListener {
   void adopt(history::HistoryDb&& seed);
 
   /// Snapshot compaction: writes the full image (temp + rename), then
-  /// resets the journal under the next epoch.
+  /// resets the journal under the next epoch.  An I/O failure throws
+  /// `support::StorageError` and poisons the journal (see `Journal`).
   void checkpoint();
 
   /// Forces journaled records to stable storage now (regardless of policy).
@@ -142,6 +144,9 @@ class DurableHistory final : public history::MutationListener {
   [[nodiscard]] std::string schema_path() const;
   [[nodiscard]] std::string snapshot_path() const;
   [[nodiscard]] std::string journal_path() const;
+  /// The open journal; throws `StorageError` when a failed checkpoint
+  /// left none.
+  Journal& journal();
 
   const schema::TaskSchema* schema_;
   std::string dir_;

@@ -41,6 +41,15 @@ class HistoryError : public HercError {
   using HercError::HercError;
 };
 
+/// The durable store could not make its bytes stable: a write, flush or
+/// fsync failed.  The journal that saw it refuses every later write until
+/// the store is reopened, because a failed fsync is never retried — the
+/// kernel may already have dropped the dirty pages it reported on.
+class StorageError : public HistoryError {
+ public:
+  using HistoryError::HistoryError;
+};
+
 /// Malformed textual input (schema DSL, flow files, session files).
 class ParseError : public HercError {
  public:

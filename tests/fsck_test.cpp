@@ -5,9 +5,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli/interpreter.hpp"
 #include "data/blob_store.hpp"
 #include "exec/executor.hpp"
 #include "fault_test_util.hpp"
@@ -497,6 +499,25 @@ TEST(FsckTest, MissingPostingAndOrphanIndexAreWarnings) {
   const FsckReport orphan = fsck_store(s.dir);
   EXPECT_TRUE(orphan.has("orphan-index")) << orphan.render();
   EXPECT_EQ(orphan.exit_code(), 1);
+}
+
+TEST(FsckTest, AnnotateThenCheckpointLeavesNoOrphanIndex) {
+  // The checkpoint's index image must not keep the replaced name's token:
+  // its snapshot no longer justifies it.
+  const std::string dir = scratch("herc_fsck_idx_annotate");
+  fs::remove_all(dir);
+  std::ostringstream out;
+  cli::Interpreter shell(out);
+  ASSERT_EQ(shell.run_script("open " + dir + "\n"
+                             "import Stimuli alpha \"\"\n"
+                             "annotate i0 beta\n"
+                             "checkpoint\n"
+                             "store close\n"),
+            0u)
+      << out.str();
+  const FsckReport report = fsck_store(dir);
+  EXPECT_FALSE(report.has("orphan-index")) << report.render();
+  EXPECT_EQ(report.exit_code(), 0) << report.render();
 }
 
 TEST(FsckTest, AdjacencyMismatchAndUnreadableIndexAreWarnings) {

@@ -16,12 +16,22 @@
 //      final active signature must equal the reference exactly (equality
 //      of the sorted multiset rules out both duplicates and losses).
 //   3. Sampled offsets additionally fsck the finished store: clean.
+//
+// A second property does the same for two runs that interleave, as runs
+// from two server connections do: run B begins while run A's first task
+// executes and ends before A's last task, so a crash can tear A's products
+// after B's begin.  Every crash point must still quarantine every partial,
+// audit clean or resumable, and resume both runs to completion.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <shared_mutex>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -127,6 +137,166 @@ TEST(ResumePropertyTest, EveryByteCrashPointResumesToTheSameHistory) {
       ASSERT_EQ(report.exit_code(), 0)
           << "offset " << t << "\n" << report.render();
     }
+  }
+  fs::remove_all(trial);
+  fs::remove_all(dir);
+}
+
+/// Polls `done` every millisecond for up to ten seconds.
+template <typename Pred>
+bool wait_until(Pred done) {
+  for (int i = 0; i < 10'000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+/// A chain `<prefix>Src -> <prefix>D1 -> ... -> <prefix>D<depth>` whose
+/// encapsulation for task `i` first runs `gate(i)`; returns the bound flow.
+template <typename Gate>
+TaskGraph gated_chain(World& w, const std::string& prefix, std::size_t depth,
+                      Gate gate) {
+  schema::EntityTypeId prev = w.schema.add_data(prefix + "Src");
+  for (std::size_t i = 1; i <= depth; ++i) {
+    const std::string tool_name = prefix + "T" + std::to_string(i);
+    const std::string data_name = prefix + "D" + std::to_string(i);
+    const schema::EntityTypeId tool = w.schema.add_tool(tool_name);
+    const schema::EntityTypeId d = w.schema.add_data(data_name);
+    w.schema.set_functional_dependency(d, tool);
+    w.schema.add_data_dependency(d, prev);
+    tools::Encapsulation enc;
+    enc.name = tool_name + ".enc";
+    enc.tool_type = tool;
+    enc.fn = [gate, i, data_name](const tools::ToolContext& ctx) {
+      gate(i);
+      tools::ToolOutput out;
+      out.set(data_name, ctx.inputs.front().payloads.front() + ">" +
+                             data_name);
+      return out;
+    };
+    w.tools.register_encapsulation(std::move(enc));
+    prev = d;
+  }
+  TaskGraph flow(w.schema, prefix);
+  flow.add_node(w.schema.require(prefix + "D" + std::to_string(depth)));
+  faulttest::expand_all(flow);
+  faulttest::bind_leaves(w, flow);
+  return flow;
+}
+
+TEST(ResumePropertyTest, InterleavedRunsResumeFromEveryCrashPoint) {
+  World w;
+  std::shared_mutex commit;  // what the server's session lock is to a run
+  // The gates order the reference run only; trial resumes pass straight
+  // through.
+  std::atomic<bool> gated{true};
+  std::atomic<bool> b_started{false};
+  const history::HistoryDb* live = nullptr;
+  const auto b_closed = [&] {
+    const std::shared_lock lock(commit);
+    for (const history::RunRecord& run : live->runs()) {
+      if (run.flow_name == "B" && !run.open()) return true;
+    }
+    return false;
+  };
+  // A's first task waits until B's tool is executing; A's second waits
+  // until B's run has ended — so B begins and ends inside A's run.
+  const TaskGraph flow_a = gated_chain(w, "A", 3, [&](std::size_t task) {
+    if (!gated.load()) return;
+    if (task == 1) {
+      EXPECT_TRUE(wait_until([&] { return b_started.load(); }));
+    } else if (task == 2) {
+      EXPECT_TRUE(wait_until(b_closed));
+    }
+  });
+  const TaskGraph flow_b = gated_chain(w, "B", 2, [&](std::size_t task) {
+    if (task == 1) b_started.store(true);
+  });
+  const std::string dir =
+      (fs::temp_directory_path() / "herc_resume_interleaved").string();
+  fs::remove_all(dir);
+  StoreOptions options;
+  options.journal.sync = SyncPolicy::kNone;
+
+  std::vector<std::string> reference;
+  {
+    DurableHistory store(w.schema, w.clock, dir, options);
+    store.adopt(std::move(w.db));
+    live = &store.db();
+    Executor exec(store.db(), w.tools);
+    ExecOptions shared;
+    shared.commit_lock = &commit;
+    std::atomic<bool> a_ok{false};
+    std::thread a([&] { a_ok = exec.run(flow_a, shared).complete(); });
+    // Let A begin first, so the journal holds runb A before runb B.
+    const bool a_began = wait_until([&] {
+      const std::shared_lock lock(commit);
+      return !store.db().runs().empty();
+    });
+    const ExecResult b = exec.run(flow_b, shared);
+    a.join();
+    gated.store(false);
+    ASSERT_TRUE(a_began);
+    ASSERT_TRUE(b.complete());
+    ASSERT_TRUE(a_ok.load());
+    reference = active_signature(store.db());
+  }
+  const std::string journal = slurp((fs::path(dir) / "journal.wal").string());
+  // The journal really interleaves: B's begin and end frames both land
+  // between A's begin and A's end.
+  const auto at = [&](std::string_view needle) {
+    const std::size_t pos = journal.find(needle);
+    EXPECT_NE(pos, std::string::npos) << needle;
+    return pos;
+  };
+  ASSERT_LT(at("runb|0|A"), at("runb|1|B"));
+  ASSERT_LT(at("rune|1|complete"), at("rune|0|complete"));
+
+  const std::string trial = dir + "_trial";
+  for (std::size_t t = 0; t <= journal.size(); ++t) {
+    fs::remove_all(trial);
+    fs::create_directories(trial);
+    fs::copy_file(fs::path(dir) / "schema.herc",
+                  fs::path(trial) / "schema.herc");
+    fs::copy_file(fs::path(dir) / "snapshot.herc",
+                  fs::path(trial) / "snapshot.herc");
+    {
+      std::ofstream out((fs::path(trial) / "journal.wal").string(),
+                        std::ios::binary);
+      out.write(journal.data(), static_cast<std::streamsize>(t));
+    }
+
+    support::ManualClock clock(1u << 20, 1);
+    DurableHistory store(w.schema, clock, trial, options);
+    ASSERT_TRUE(store.db().partial_products().empty()) << "offset " << t;
+    store.sync();
+    const storage::FsckReport audit = storage::fsck_store(trial);
+    ASSERT_EQ(audit.exit_code(), 0) << "offset " << t << "\n"
+                                    << audit.render();
+
+    // Resume what was interrupted; run afresh (memoized) what never began.
+    Executor exec(store.db(), w.tools);
+    for (const TaskGraph* flow : {&flow_a, &flow_b}) {
+      const history::RunRecord* begun = nullptr;
+      for (const history::RunRecord& run : store.db().runs()) {
+        if (run.flow_name == flow->name()) begun = &run;
+      }
+      ExecResult result;
+      if (begun == nullptr) {
+        ExecOptions redo;
+        redo.reuse_existing = true;
+        result = exec.run(*flow, redo);
+      } else if (begun->open()) {
+        result = exec.resume(begun->id);
+      } else {
+        continue;
+      }
+      ASSERT_TRUE(result.complete()) << "offset " << t << " flow "
+                                     << flow->name();
+    }
+    ASSERT_TRUE(store.db().open_runs().empty()) << "offset " << t;
+    ASSERT_EQ(active_signature(store.db()), reference) << "offset " << t;
   }
   fs::remove_all(trial);
   fs::remove_all(dir);

@@ -45,12 +45,14 @@ struct ServedSession {
 };
 
 /// Imports the four Fig. 1 inputs and builds the simulate flow `f` in the
-/// client's workspace; returns the number of failed commands.
-int build_simulate_flow(Client& client) {
+/// client's workspace; returns the number of failed commands.  `first` is
+/// the instance id the first import gets (the session's size before).
+int build_simulate_flow(Client& client, unsigned first = 0) {
   int failures = 0;
   const auto run = [&](std::string_view line, std::string_view body = "") {
     if (!client.call(line, body).ok()) ++failures;
   };
+  const auto inst = [&](unsigned k) { return " i" + std::to_string(first + k); };
   run("import EditedNetlist inv", circuit::inverter_netlist().to_text());
   run("import DeviceModels std",
       circuit::DeviceModelLibrary::standard().to_text());
@@ -59,11 +61,19 @@ int build_simulate_flow(Client& client) {
   run("flow new f goal Performance");
   run("flow expand f 0");
   run("flow expand f 2");
-  run("flow bind f 1 i3");
-  run("flow bind f 3 i2");
-  run("flow bind f 4 i1");
-  run("flow bind f 5 i0");
+  run("flow bind f 1" + inst(3));
+  run("flow bind f 3" + inst(2));
+  run("flow bind f 4" + inst(1));
+  run("flow bind f 5" + inst(0));
   return failures;
+}
+
+using Clock = std::chrono::steady_clock;
+
+long long millis_since(Clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                               start)
+      .count();
 }
 
 TEST(ServerStressTest, ManyClientsMixQueriesAndMutations) {
@@ -475,6 +485,181 @@ TEST(ServerStressTest, IdleConnectionsAreReapedAndNewOnesStillServed) {
   }
   active.close();
   server.stop();
+}
+
+// ---- runs outside the session lock ------------------------------------------
+//
+// A `run` holds no session lock while its tools execute: reads, imports and
+// other connections' runs proceed beside it, while the writes that must not
+// overlap a run wait at the run gate without being starved.
+
+TEST(ServerStressTest, ReadsAndImportsCompleteWhileARunExecutes) {
+  ServedSession served;
+  Client designer = Client::connect(served.bound);
+  ASSERT_EQ(build_simulate_flow(designer), 0);
+  Client other = Client::connect(served.bound);
+
+  const Clock::time_point sent = Clock::now();
+  designer.send("run f latency=300");  // two serial tasks: ~600 ms of tools
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (const std::string line :
+       {"browse Stimuli", "entities", "import Stimuli beside \"\""}) {
+    const Clock::time_point start = Clock::now();
+    const CallResult result = other.call(line);
+    EXPECT_TRUE(result.ok()) << line << ": " << result.error;
+    EXPECT_LT(millis_since(start), 100) << line << " waited behind the run";
+  }
+  const long long others_done = millis_since(sent);
+  const CallResult run = designer.receive();
+  EXPECT_TRUE(run.ok()) << run.error;
+  EXPECT_LT(others_done, millis_since(sent))
+      << "the run replied before the commands issued beside it";
+  EXPECT_GE(millis_since(sent), 600);
+  other.close();
+  designer.close();
+  served.server.stop();
+}
+
+TEST(ServerStressTest, RunsFromTwoConnectionsOverlap) {
+  ServedSession served;
+  Client a = Client::connect(served.bound);
+  ASSERT_EQ(build_simulate_flow(a, 0), 0);
+  Client b = Client::connect(served.bound);
+  ASSERT_TRUE(b.call("session user bob").ok());
+  ASSERT_EQ(build_simulate_flow(b, 4), 0);
+
+  const Clock::time_point start = Clock::now();
+  a.send("run f latency=200");  // ~400 ms each; 800 ms if serialized
+  b.send("run f latency=200");
+  const CallResult ra = a.receive();
+  const CallResult rb = b.receive();
+  const long long wall = millis_since(start);
+  EXPECT_TRUE(ra.ok()) << ra.error;
+  EXPECT_TRUE(rb.ok()) << rb.error;
+  EXPECT_GE(wall, 400);
+  EXPECT_LT(wall, 650) << "the two runs did not overlap";
+
+  // Each run stamped its own connection's user, and fsck-level state is
+  // whole: two closed runs, two Performances.
+  const CallResult runs = a.call("runs");
+  EXPECT_NE(runs.output.find("by designer: complete"), std::string::npos)
+      << runs.output;
+  EXPECT_NE(runs.output.find("by bob: complete"), std::string::npos)
+      << runs.output;
+  const CallResult perf = a.call("browse Performance");
+  EXPECT_NE(perf.output.find("bob"), std::string::npos) << perf.output;
+  a.close();
+  b.close();
+  served.server.stop();
+}
+
+TEST(ServerStressTest, CheckpointWaitsForInFlightRunsWithoutStarving) {
+  const std::string dir =
+      (fs::temp_directory_path() / "herc_server_checkpoint_gate").string();
+  fs::remove_all(dir);
+  {
+    core::DesignSession session(schema::make_full_schema());
+    session.open_storage(dir);
+    Server server(session);
+    const Endpoint bound =
+        server.add_listener(Endpoint::parse("127.0.0.1:0"));
+    server.start();
+
+    // Three designers loop staggered, overlapping runs, so some run is
+    // always in flight: a reader-preferring gate would never let the
+    // checkpoint in while they loop (they give up after three seconds).
+    constexpr int kDesigners = 3;
+    std::atomic<bool> stop{false};
+    std::atomic<int> runs_done{0};
+    std::atomic<int> errors{0};
+    std::vector<Client> clients;
+    for (int d = 0; d < kDesigners; ++d) {
+      clients.push_back(Client::connect(bound));
+      ASSERT_EQ(build_simulate_flow(clients.back(), 4 * d), 0);
+    }
+    const Clock::time_point loop_start = Clock::now();
+    std::vector<std::thread> designers;
+    for (int d = 0; d < kDesigners; ++d) {
+      designers.emplace_back([&, d] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(25 * d));
+        while (!stop.load() && millis_since(loop_start) < 3000) {
+          if (clients[d].call("run f latency=40").ok()) {
+            ++runs_done;
+          } else {
+            ++errors;
+          }
+        }
+      });
+    }
+    while (runs_done.load() < kDesigners) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    Client admin = Client::connect(bound);
+    const Clock::time_point start = Clock::now();
+    const CallResult checkpoint = admin.call("checkpoint");
+    const long long waited = millis_since(start);
+    const bool designers_still_running = millis_since(loop_start) < 3000;
+    stop.store(true);
+    for (std::thread& t : designers) t.join();
+
+    EXPECT_TRUE(checkpoint.ok()) << checkpoint.error;
+    EXPECT_TRUE(designers_still_running);
+    // It waits for the runs in flight (~80 ms each), never for the stream.
+    EXPECT_LT(waited, 1000) << "the checkpoint starved behind the runs";
+    EXPECT_EQ(errors.load(), 0);
+    for (Client& c : clients) c.close();
+    admin.close();
+    server.stop();
+    session.close_storage();
+  }
+  const storage::FsckReport report = storage::fsck_store(dir);
+  EXPECT_EQ(report.exit_code(), 0) << report.render();
+  fs::remove_all(dir);
+}
+
+TEST(ServerStressTest, RunStaysAWriteForRefusalAndDedup) {
+  {
+    core::DesignSession session(schema::make_full_schema());
+    ServeOptions options;
+    options.read_only = true;
+    Server replica(session, options);
+    const Endpoint bound =
+        replica.add_listener(Endpoint::parse("127.0.0.1:0"));
+    replica.start();
+    Client client = Client::connect(bound);
+    const CallResult result = client.call("run f");
+    EXPECT_FALSE(result.ok());
+    EXPECT_NE(result.error.find("read-only replica"), std::string::npos)
+        << result.error;
+    client.close();
+    replica.stop();
+  }
+
+  // A tokened run retried while the original is still executing, and once
+  // more after it replied, applies exactly once.
+  ServedSession served;
+  Client client = Client::connect(served.bound);
+  ASSERT_EQ(build_simulate_flow(client), 0);
+  client.send_token("designer-1", 1, "run f latency=100");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Client retry = Client::connect(served.bound);
+  retry.send_token("designer-1", 1, "run f latency=100");
+  const CallResult original = client.receive();
+  const CallResult raced = retry.receive();
+  ASSERT_TRUE(original.ok()) << original.error;
+  EXPECT_TRUE(raced.ok()) << raced.error;
+  EXPECT_EQ(raced.output, original.output);
+  retry.send_token("designer-1", 1, "run f latency=100");
+  const CallResult late = retry.receive();
+  EXPECT_EQ(late.output, original.output);
+
+  const CallResult runs = client.call("runs");
+  EXPECT_EQ(std::count(runs.output.begin(), runs.output.end(), '\n'), 1)
+      << runs.output;
+  EXPECT_GE(served.server.stats().replays_served.load(), 2u);
+  retry.close();
+  client.close();
+  served.server.stop();
 }
 
 }  // namespace

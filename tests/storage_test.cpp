@@ -2,6 +2,7 @@
 // crash recovery, and the session/CLI wiring.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -94,6 +95,25 @@ class StorageTest : public ::testing::Test {
   schema::TaskSchema schema_;
   support::ManualClock clock_;
   std::string dir_;
+};
+
+/// Fails every flush or fsync whose name matches `g_failing_call` with EIO
+/// while installed (see `FailingIo`).
+std::string g_failing_call;  // NOLINT(cert-err58-cpp)
+
+int fail_matching_call(std::string_view call) {
+  return call == g_failing_call ? EIO : 0;
+}
+
+/// Installs the storage I/O fault seam for one scope.
+struct FailingIo {
+  explicit FailingIo(std::string call) {
+    g_failing_call = std::move(call);
+    detail::set_io_fault_hook(&fail_matching_call);
+  }
+  ~FailingIo() { detail::set_io_fault_hook(nullptr); }
+  FailingIo(const FailingIo&) = delete;
+  FailingIo& operator=(const FailingIo&) = delete;
 };
 
 // ---- journal framing ---------------------------------------------------------
@@ -429,6 +449,73 @@ TEST_F(StorageTest, InterpreterOpenCheckpointStore) {
   // `checkpoint` without a store is a reported error, not a crash.
   EXPECT_EQ(interp.execute("store close"), cli::CommandStatus::kOk);
   EXPECT_EQ(interp.execute("checkpoint"), cli::CommandStatus::kError);
+}
+
+// ---- I/O failure is fail-stop -------------------------------------------------
+
+TEST_F(StorageTest, FailedFsyncPoisonsTheJournalUntilReopen) {
+  StoreOptions options;
+  options.journal.sync = SyncPolicy::kCommit;
+  {
+    DurableHistory store(schema_, clock_, dir_, options);
+    store.db().import_instance(schema_.require("Stimuli"), "kept", "w", "u");
+    {
+      const FailingIo failing("fsync");
+      EXPECT_THROW(store.db().import_instance(schema_.require("Stimuli"),
+                                              "unsynced", "w", "u"),
+                   support::StorageError);
+    }
+    // The disk works again, but a failed fsync is never retried: every
+    // later write is refused until the store is reopened.
+    try {
+      store.db().import_instance(schema_.require("Stimuli"), "refused", "w",
+                                 "u");
+      ADD_FAILURE() << "a poisoned journal accepted a write";
+    } catch (const support::StorageError& e) {
+      EXPECT_NE(std::string(e.what()).find("reopen"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(store.sync(), support::StorageError);
+  }
+  // Recovery re-reads what reached the disk: the acknowledged import, and
+  // the unsynced frame whose bytes the page cache still held.
+  support::ManualClock clock2(0, 1);
+  DurableHistory store(schema_, clock2, dir_, options);
+  EXPECT_EQ(store.db().size(), 2u);
+  store.db().import_instance(schema_.require("Stimuli"), "after", "w", "u");
+  EXPECT_EQ(store.db().size(), 3u);
+}
+
+TEST_F(StorageTest, FailedFlushPoisonsTheJournal) {
+  StoreOptions options;
+  options.journal.sync = SyncPolicy::kNone;
+  DurableHistory store(schema_, clock_, dir_, options);
+  store.db().import_instance(schema_.require("Stimuli"), "a", "w", "u");
+  {
+    const FailingIo failing("fflush");
+    EXPECT_THROW(store.sync(), support::StorageError);
+  }
+  EXPECT_THROW(store.db().import_instance(schema_.require("Stimuli"), "b",
+                                          "w", "u"),
+               support::StorageError);
+}
+
+TEST_F(StorageTest, FailedSnapshotFsyncFailsTheCheckpointAndPoisons) {
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    populate(store.db());
+    {
+      const FailingIo failing("fsync");
+      EXPECT_THROW(store.checkpoint(), support::StorageError);
+    }
+    EXPECT_EQ(store.epoch(), 0u);
+    EXPECT_THROW(store.db().import_instance(schema_.require("Stimuli"),
+                                            "late", "w", "u"),
+                 support::StorageError);
+  }
+  support::ManualClock clock2(0, 1);
+  DurableHistory store(schema_, clock2, dir_);
+  EXPECT_EQ(store.db().size(), 4u);
 }
 
 }  // namespace
