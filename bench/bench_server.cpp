@@ -4,13 +4,14 @@
 // BENCH_server.json in the working directory (EXPERIMENTS S10).
 //
 // The headline claims: pipelining amortizes the round trip, and queries
-// take the session lock shared, so the lock never serializes them.  Query
-// throughput does NOT scale in proportion to the client count, though:
-// every command crosses a reader thread, a queue hand-off, a worker
-// wake-up and two frame writes, and that per-command transport, not the
-// lock, bounds it.  The query_qps_<n>_clients rows of BENCH_server.json
-// show it: on a 4-core host single runs read 14k-24k queries/s at 1
-// client and 31k-51k at 4, with a wide run-to-run spread.
+// take the session lock shared, so the lock never serializes them.  Each
+// command is read, executed and answered (one send) on its connection's
+// one thread, so the per-command cost is the socket round trip plus the
+// command itself.  Medians of 8 runs on a 4-vCPU shared VM
+// (RelWithDebInfo): round trip 28 us, pipelined 7.5 us/command, and
+// queries/s 30k at 1 client, 50k at 2, 126k at 4 and 120k at 8 — more
+// clients help until the cores are busy.  Single runs spread widely
+// (1-client 25k-52k), so compare medians of several runs, never one.
 //
 // Methodology: every timed section runs over connections that were
 // established and warmed (one round-trip) *before* the clock starts —

@@ -63,27 +63,6 @@ void send_all(int fd, const char* data, std::size_t size) {
   }
 }
 
-/// Fills `size` bytes.  Returns false when the stream ended before the
-/// first byte (clean EOF); throws when it ended in the middle.
-bool recv_exact(int fd, char* data, std::size_t size) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, data + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw NetError(std::string("recv failed: ") + std::strerror(errno));
-    }
-    if (n == 0) {
-      if (got == 0) return false;
-      throw NetError("peer closed the connection mid-frame (" +
-                     std::to_string(got) + " of " + std::to_string(size) +
-                     " bytes)");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Remaining whole milliseconds until `deadline` (>= 0).
 int remaining_ms(std::chrono::steady_clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -92,20 +71,24 @@ int remaining_ms(std::chrono::steady_clock::time_point deadline) {
   return left > 0 ? static_cast<int>(left) : 0;
 }
 
-}  // namespace
-
-std::string encode_frame(const Frame& frame) {
-  if (frame.payload.size() > kMaxFramePayload) {
-    throw NetError("frame payload of " +
-                   std::to_string(frame.payload.size()) +
+/// Appends one frame's header and payload to `out`.
+void append_frame(std::string& out, FrameType type, std::string_view payload) {
+  if (payload.size() > kMaxFramePayload) {
+    throw NetError("frame payload of " + std::to_string(payload.size()) +
                    " bytes exceeds the " +
                    std::to_string(kMaxFramePayload) + "-byte limit");
   }
+  put_u32_le(out, static_cast<std::uint32_t>(payload.size()));
+  out.push_back(static_cast<char>(type));
+  out += payload;
+}
+
+}  // namespace
+
+std::string encode_frame(const Frame& frame) {
   std::string out;
   out.reserve(kHeaderBytes + frame.payload.size());
-  put_u32_le(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.push_back(static_cast<char>(frame.type));
-  out += frame.payload;
+  append_frame(out, frame.type, frame.payload);
   return out;
 }
 
@@ -114,27 +97,23 @@ void write_frame(int fd, const Frame& frame) {
   send_all(fd, wire.data(), wire.size());
 }
 
+std::string encode_reply(std::string_view output, std::string_view result) {
+  std::string out;
+  out.reserve(2 * kHeaderBytes + output.size() + result.size());
+  if (!output.empty()) append_frame(out, FrameType::kOutput, output);
+  append_frame(out, FrameType::kResult, result);
+  return out;
+}
+
+std::size_t write_reply(int fd, std::string_view output,
+                        std::string_view result) {
+  const std::string wire = encode_reply(output, result);
+  send_all(fd, wire.data(), wire.size());
+  return wire.size();
+}
+
 bool read_frame(int fd, Frame& frame) {
-  unsigned char header[kHeaderBytes];
-  if (!recv_exact(fd, reinterpret_cast<char*>(header), kHeaderBytes)) {
-    return false;
-  }
-  const std::uint32_t length = get_u32_le(header);
-  if (length > kMaxFramePayload) {
-    throw NetError("frame header announces " + std::to_string(length) +
-                   " bytes (limit " + std::to_string(kMaxFramePayload) +
-                   "); the stream is desynchronized");
-  }
-  if (!known_type(header[4])) {
-    throw NetError("unknown frame type byte " +
-                   std::to_string(static_cast<int>(header[4])));
-  }
-  frame.type = static_cast<FrameType>(header[4]);
-  frame.payload.resize(length);
-  if (length > 0 && !recv_exact(fd, frame.payload.data(), length)) {
-    throw NetError("peer closed the connection before the frame payload");
-  }
-  return true;
+  return read_frame(fd, frame, ReadDeadline{}) == ReadOutcome::kFrame;
 }
 
 ReadOutcome read_frame(int fd, Frame& frame, const ReadDeadline& deadline) {

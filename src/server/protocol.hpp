@@ -94,6 +94,18 @@ struct Frame {
 /// EINTR.  Throws `support::NetError` when the peer is gone.
 void write_frame(int fd, const Frame& frame);
 
+/// Serializes one command's reply: the kOutput frame (omitted when
+/// `output` is empty) followed by the kResult frame, in one buffer.
+/// Throws `support::NetError` when a payload exceeds `kMaxFramePayload`.
+[[nodiscard]] std::string encode_reply(std::string_view output,
+                                       std::string_view result);
+
+/// Sends `encode_reply(output, result)` with one buffer, so a reply costs
+/// one `send` rather than one per frame.  Returns the bytes written.
+/// Throws `support::NetError` when the peer is gone.
+std::size_t write_reply(int fd, std::string_view output,
+                        std::string_view result);
+
 /// Reads one frame.  Returns false on a clean end-of-stream at a frame
 /// boundary; throws `support::NetError` on a mid-frame disconnect, an
 /// unknown type byte or an oversized length.

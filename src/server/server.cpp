@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <map>
 #include <set>
@@ -34,6 +33,27 @@ constexpr std::string_view kShutdownSealReason =
 /// restarts in tests and the swarm harness reuse the pid).
 std::atomic<std::uint64_t> g_boot_counter{0};
 
+std::uint64_t micros_since(std::chrono::steady_clock::time_point begin) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - begin)
+          .count());
+}
+
+std::string histogram_json(const LatencyHistogram& h) {
+  return "{\"p50\":" + std::to_string(h.percentile(0.50)) +
+         ",\"p95\":" + std::to_string(h.percentile(0.95)) +
+         ",\"p99\":" + std::to_string(h.percentile(0.99)) +
+         ",\"count\":" + std::to_string(h.count()) + "}";
+}
+
+std::string histogram_text(const LatencyHistogram& h) {
+  return "p50 " + std::to_string(h.percentile(0.50)) + "us, p95 " +
+         std::to_string(h.percentile(0.95)) + "us, p99 " +
+         std::to_string(h.percentile(0.99)) + "us (" +
+         std::to_string(h.count()) + " sampled)";
+}
+
 }  // namespace
 
 struct Server::Connection {
@@ -46,20 +66,10 @@ struct Server::Connection {
   std::string user = "designer";
   std::ostringstream out;
   std::unique_ptr<cli::Interpreter> interp;
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Frame> queue;
-  bool eof = false;      ///< reader saw end-of-stream (or a wire error)
-  bool closing = false;  ///< worker decided to close (quit, dead peer)
-  /// Worker is executing a command (or pumping a subscription): the idle
-  /// reaper must not cut a connection that is merely waiting on a long
-  /// run's reply.
-  bool busy = false;
+  std::uint64_t commands = 0;
   std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> commands{0};
-  std::thread reader;
-  std::thread worker;
+  /// Reads, executes and answers every command in order.
+  std::thread thread;
 };
 
 /// The per-client idempotency dedup window: replies of recently applied
@@ -81,7 +91,6 @@ struct Server::ClientWindow {
 
 Server::Server(core::DesignSession& session, ServeOptions options)
     : session_(session), options_(options) {
-  if (options_.queue_depth == 0) options_.queue_depth = 1;
   if (options_.dedup_window == 0) options_.dedup_window = 1;
   if (options_.dedup_clients == 0) options_.dedup_clients = 1;
   boot_id_ =
@@ -175,176 +184,105 @@ void Server::accept_loop() {
         ref.id = next_connection_id_++;
         connections_.push_back(std::move(conn));
       }
-      ref.reader = std::thread(&Server::reader_loop, this, std::ref(ref));
-      ref.worker = std::thread(&Server::worker_loop, this, std::ref(ref));
+      ref.thread = std::thread(&Server::connection_loop, this, std::ref(ref));
     }
     join_finished_connections();
   }
 }
 
-void Server::reader_loop(Connection& conn) {
-  bool reaped = false;
+bool Server::read_request(Connection& conn, Frame& frame, bool streaming) {
+  const ReadDeadline deadline{options_.idle_timeout_ms,
+                              options_.frame_timeout_ms};
   try {
-    Frame frame;
-    const ReadDeadline deadline{options_.idle_timeout_ms,
-                                options_.frame_timeout_ms};
-    const bool bounded = deadline.idle_ms > 0 || deadline.frame_ms > 0;
     while (true) {
-      ReadOutcome outcome;
-      if (bounded) {
-        outcome = read_frame(conn.sock.fd(), frame, deadline);
-      } else {
-        outcome = read_frame(conn.sock.fd(), frame) ? ReadOutcome::kFrame
-                                                    : ReadOutcome::kEof;
-      }
-      if (outcome == ReadOutcome::kEof) break;
+      const ReadOutcome outcome = read_frame(conn.sock.fd(), frame, deadline);
+      if (outcome == ReadOutcome::kEof) return false;
       if (outcome == ReadOutcome::kIdle) {
-        // Reap only a connection with nothing queued or executing: a
-        // client quietly waiting on a long run's reply is not half-open.
-        bool busy;
-        {
-          std::scoped_lock lock(conn.mutex);
-          busy = conn.busy || !conn.queue.empty() || conn.closing;
-        }
-        if (busy || stopping_.load()) continue;
-        reaped = true;
-        break;
+        // Quiet between commands (a long run's client is not read from
+        // until its reply is sent, so it cannot look idle).  A follower
+        // waiting on its stream is quiet by design.
+        if (streaming || stopping_.load()) continue;
+        break;  // reaped
       }
       stats_.bytes_in.fetch_add(frame.payload.size() + kFrameOverhead,
                                 std::memory_order_relaxed);
-      if (frame.type == FrameType::kAck) {
-        // Follower progress reports bypass the command queue: they never
-        // produce a reply and must not wait behind the stream pump.
-        if (hub_ != nullptr) hub_->ack(conn.id, frame.payload);
-        continue;
-      }
-      std::unique_lock lock(conn.mutex);
-      // Backpressure: a client that pipelines past the queue depth blocks
-      // here, which stops draining the socket, which fills the kernel
-      // buffers, which blocks the client's send — flow control for free.
-      conn.cv.wait(lock, [&] {
-        return conn.queue.size() < options_.queue_depth || conn.closing ||
-               stopping_.load();
-      });
-      if (conn.closing) break;
-      conn.queue.push_back(std::move(frame));
-      conn.cv.notify_all();
+      if (frame.type != FrameType::kAck) return true;
+      // Follower progress reports never produce a reply.
+      if (hub_ != nullptr) hub_->ack(conn.id, frame.payload);
     }
   } catch (const FrameStallError&) {
     // A half-open peer held mid-frame past the deadline: the server shed
     // it — that is a reap, unlike a peer that died on its own below.
-    reaped = true;
   } catch (const NetError&) {
     // A torn frame or a dead peer ends the connection like an EOF would.
+    return false;
   }
-  if (reaped) {
-    stats_.connections_reaped.fetch_add(1, std::memory_order_relaxed);
-    conn.sock.shutdown_both();
-  }
-  // A follower that vanished must not leave its stream pump blocked in
-  // `next_frame` until the next mutation happens to wake it: dropping the
-  // subscription ends the pump now.  A no-op for plain command connections.
-  if (hub_ != nullptr) hub_->unsubscribe(conn.id);
-  {
-    std::scoped_lock lock(conn.mutex);
-    conn.eof = true;
-  }
-  conn.cv.notify_all();
+  // Reaped: idle past the deadline between commands, or stalled mid-frame.
+  stats_.connections_reaped.fetch_add(1, std::memory_order_relaxed);
+  return false;
 }
 
-void Server::worker_loop(Connection& conn) {
-  while (true) {
-    Frame frame;
-    {
-      std::unique_lock lock(conn.mutex);
-      conn.cv.wait(lock, [&] { return !conn.queue.empty() || conn.eof; });
-      if (conn.queue.empty()) break;  // eof and fully drained
-      frame = std::move(conn.queue.front());
-      conn.queue.pop_front();
-      conn.busy = true;  // the idle reaper leaves executing connections be
-      conn.cv.notify_all();  // release a backpressured reader
-    }
+void Server::connection_loop(Connection& conn) {
+  Frame frame;
+  while (read_request(conn, frame, /*streaming=*/false)) {
     if (frame.type == FrameType::kSubscribe) {
-      // The connection becomes a one-way journal stream; this worker is
-      // its pump until the stream ends, then the connection closes.
       serve_subscription(conn, frame);
-      {
-        std::scoped_lock lock(conn.mutex);
-        conn.closing = true;
-      }
-      conn.cv.notify_all();
-      conn.sock.shutdown_both();
       break;
     }
-    std::string output;
-    std::string result;
-    bool quit = false;
-    if (frame.type != FrameType::kCommand &&
-        frame.type != FrameType::kTokenCommand) {
-      result = encode_result(Severity::kError,
-                             "protocol error: expected a command frame");
-      stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
-    } else if (stopping_.load()) {
-      // Queued behind the shutdown: refused, not silently dropped — the
-      // client learns its command never ran.
-      result = encode_result(Severity::kError, "server shutting down");
-      stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      const auto begin = std::chrono::steady_clock::now();
-      if (frame.type == FrameType::kTokenCommand) {
-        result = execute_tokened(conn, frame.payload, output, quit);
-      } else {
-        CommandPayload cmd = split_command(frame.payload);
-        result = execute_command(conn, cmd.line, std::move(cmd.body), output,
-                                 quit);
-      }
-      stats_.command_latency.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - begin)
-              .count()));
-    }
-    conn.commands.fetch_add(1, std::memory_order_relaxed);
-    try {
-      if (!output.empty()) {
-        stats_.bytes_out.fetch_add(output.size() + kFrameOverhead,
-                                   std::memory_order_relaxed);
-        write_frame(conn.sock.fd(), {FrameType::kOutput, std::move(output)});
-      }
-      stats_.bytes_out.fetch_add(result.size() + kFrameOverhead,
-                                 std::memory_order_relaxed);
-      write_frame(conn.sock.fd(), {FrameType::kResult, std::move(result)});
-    } catch (const NetError&) {
-      quit = true;  // the peer is gone; no point executing its backlog
-    }
-    {
-      std::scoped_lock lock(conn.mutex);
-      conn.busy = false;
-    }
-    if (quit) {
-      {
-        std::scoped_lock lock(conn.mutex);
-        conn.closing = true;
-      }
-      conn.cv.notify_all();
-      conn.sock.shutdown_both();
-      break;
-    }
+    if (!answer(conn, frame)) break;
   }
   conn.sock.shutdown_both();
   stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
   conn.done.store(true);
 }
 
+bool Server::answer(Connection& conn, const Frame& frame) {
+  std::string output;
+  std::string result;
+  bool quit = false;
+  if (frame.type != FrameType::kCommand &&
+      frame.type != FrameType::kTokenCommand) {
+    result = encode_result(Severity::kError,
+                           "protocol error: expected a command frame");
+    stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
+  } else if (stopping_.load()) {
+    // Read after the shutdown began: refused, not silently dropped — the
+    // client learns its command never ran.
+    result = encode_result(Severity::kError, "server shutting down");
+    stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    const auto begin = std::chrono::steady_clock::now();
+    if (frame.type == FrameType::kTokenCommand) {
+      result = execute_tokened(conn, frame.payload, output, quit);
+    } else {
+      CommandPayload cmd = split_command(frame.payload);
+      result =
+          execute_command(conn, cmd.line, std::move(cmd.body), output, quit);
+    }
+    stats_.command_latency.record(micros_since(begin));
+  }
+  ++conn.commands;
+  try {
+    const auto begin = std::chrono::steady_clock::now();
+    stats_.bytes_out.fetch_add(write_reply(conn.sock.fd(), output, result),
+                               std::memory_order_relaxed);
+    stats_.send_latency.record(micros_since(begin));
+  } catch (const NetError&) {
+    return false;  // the peer is gone; nothing more to answer
+  }
+  return !quit;
+}
+
 void Server::serve_subscription(Connection& conn, const Frame& frame) {
-  if (hub_ == nullptr) {
+  const auto refuse = [&](std::string_view error) {
     try {
-      write_frame(conn.sock.fd(),
-                  {FrameType::kResult,
-                   encode_result(Severity::kError,
-                                 "replication is not enabled on this "
-                                 "server")});
+      write_frame(conn.sock.fd(), {FrameType::kResult,
+                                   encode_result(Severity::kError, error)});
     } catch (const NetError&) {
     }
+  };
+  if (hub_ == nullptr) {
+    refuse("replication is not enabled on this server");
     return;
   }
   {
@@ -355,15 +293,23 @@ void Server::serve_subscription(Connection& conn, const Frame& frame) {
     std::string error;
     if (!hub_->subscribe(conn.id, conn.peer, frame.payload, &error)) {
       lock.unlock();
-      try {
-        write_frame(conn.sock.fd(),
-                    {FrameType::kResult,
-                     encode_result(Severity::kError, error)});
-      } catch (const NetError&) {
-      }
+      refuse(error);
       return;
     }
   }
+  // This thread pumps the stream.  It also built the bootstrap snapshot,
+  // so sending it reuses this thread's allocator arena instead of growing
+  // another (~18 MB more peak RSS on a 200k-instance store when the two
+  // were split).  A second thread reads the follower's acks; a follower
+  // that goes away is unsubscribed there, which ends the pump now rather
+  // than when the next mutation happens to wake it.
+  std::thread acks([this, &conn] {
+    Frame ack;
+    while (read_request(conn, ack, /*streaming=*/true)) {
+      // A subscription is a one-way stream: only its acks are read.
+    }
+    hub_->unsubscribe(conn.id);
+  });
   try {
     Frame out;
     while (hub_->next_frame(conn.id, out)) {
@@ -375,6 +321,8 @@ void Server::serve_subscription(Connection& conn, const Frame& frame) {
     // The follower vanished; it will reconnect and resync.
   }
   hub_->unsubscribe(conn.id);
+  conn.sock.shutdown_both();  // ends the ack reader's read
+  acks.join();
 }
 
 std::string Server::execute_command(Connection& conn,
@@ -420,13 +368,19 @@ std::string Server::execute_command(Connection& conn,
   }
   conn.out.str(std::string());
   cli::CommandStatus status;
+  const auto waiting = std::chrono::steady_clock::now();
+  const auto acquired = [&] {
+    stats_.lock_wait_latency.record(micros_since(waiting));
+  };
   if (access == cli::CommandAccess::kRead) {
     std::shared_lock lock(session_mutex_);
+    acquired();
     stats_.read_commands.fetch_add(1, std::memory_order_relaxed);
     status = conn.interp->execute(line, std::move(body));
   } else if (access == cli::CommandAccess::kRun) {
     // No session lock: the run takes it for its commit sections only.
     std::shared_lock gate(run_gate_);
+    acquired();
     stats_.write_commands.fetch_add(1, std::memory_order_relaxed);
     conn.interp->serve_runs(&session_mutex_, conn.user);
     status = conn.interp->execute(line, std::move(body));
@@ -434,6 +388,7 @@ std::string Server::execute_command(Connection& conn,
     std::unique_lock gate(run_gate_, std::defer_lock);
     if (cli::waits_for_runs(line)) gate.lock();
     std::unique_lock lock(session_mutex_);
+    acquired();
     stats_.write_commands.fetch_add(1, std::memory_order_relaxed);
     session_.set_user(conn.user);
     status = conn.interp->execute(line, std::move(body));
@@ -608,11 +563,9 @@ std::string Server::render_stats(const Connection& conn, bool json) const {
         << ",\"dedup_hits\":" << load(stats_.dedup_hits)
         << ",\"replays_served\":" << load(stats_.replays_served)
         << ",\"connections_reaped\":" << load(stats_.connections_reaped)
-        << ",\"latency_us\":{\"p50\":"
-        << stats_.command_latency.percentile(0.50)
-        << ",\"p95\":" << stats_.command_latency.percentile(0.95)
-        << ",\"p99\":" << stats_.command_latency.percentile(0.99)
-        << ",\"count\":" << stats_.command_latency.count() << "}"
+        << ",\"latency_us\":" << histogram_json(stats_.command_latency)
+        << ",\"lock_wait_us\":" << histogram_json(stats_.lock_wait_latency)
+        << ",\"send_us\":" << histogram_json(stats_.send_latency)
         << ",\"journal_epoch\":" << pos.epoch
         << ",\"journal_seq\":" << pos.seq
         << ",\"journal_bytes\":" << pos.bytes;
@@ -637,14 +590,13 @@ std::string Server::render_stats(const Connection& conn, bool json) const {
       << load(stats_.connections_reaped) << " connection(s) reaped\n"
       << "journal: epoch " << pos.epoch << ", seq " << pos.seq << ", "
       << pos.bytes << " bytes\n"
-      << "latency: p50 " << stats_.command_latency.percentile(0.50)
-      << "us, p95 " << stats_.command_latency.percentile(0.95)
-      << "us, p99 " << stats_.command_latency.percentile(0.99) << "us ("
-      << stats_.command_latency.count() << " sampled)\n";
+      << "latency: " << histogram_text(stats_.command_latency) << "\n"
+      << "lock wait: " << histogram_text(stats_.lock_wait_latency) << "\n"
+      << "send: " << histogram_text(stats_.send_latency) << "\n";
   if (hub_ != nullptr) out << hub_->render_followers(/*json=*/false);
   out << "this connection: #" << conn.id << " (" << conn.peer << ") user '"
       << conn.user << "', "
-      << conn.commands.load(std::memory_order_relaxed) << " command(s)\n";
+      << conn.commands << " command(s)\n";
   return out.str();
 }
 
@@ -656,8 +608,7 @@ void Server::join_finished_connections() {
       ++it;
       continue;
     }
-    if (conn.reader.joinable()) conn.reader.join();
-    if (conn.worker.joinable()) conn.worker.join();
+    if (conn.thread.joinable()) conn.thread.join();
     it = connections_.erase(it);
   }
 }
@@ -692,24 +643,19 @@ void Server::stop() {
   wake_pipe_[0] = wake_pipe_[1] = -1;
 
   // 3. Wind down every connection: no new bytes read (SHUT_RD -> the
-  //    reader sees EOF), backpressured readers released, queued commands
-  //    answered with "server shutting down" by the worker.  Follower
-  //    streams end first so their pump workers can join.
+  //    connection sees EOF once it has answered what the kernel already
+  //    buffered; commands read after the stop are refused with "server
+  //    shutting down").  Follower streams end first so their pumps join.
   if (hub_ != nullptr) hub_->close_all();
+  //    Connections then finish on their own (the executor's cancel flag
+  //    bounds how long an in-flight run keeps one busy).
   {
     std::scoped_lock lock(connections_mutex_);
     for (const std::unique_ptr<Connection>& conn : connections_) {
       conn->sock.shutdown_read();
-      conn->cv.notify_all();
     }
-  }
-  // Workers drain and exit on their own (the executor's cancel flag bounds
-  // how long an in-flight run keeps one busy).
-  {
-    std::scoped_lock lock(connections_mutex_);
     for (const std::unique_ptr<Connection>& conn : connections_) {
-      if (conn->reader.joinable()) conn->reader.join();
-      if (conn->worker.joinable()) conn->worker.join();
+      if (conn->thread.joinable()) conn->thread.join();
     }
     connections_.clear();
   }

@@ -14,18 +14,20 @@
 //     so runs, imports, annotations and reads overlap.  A run gate keeps
 //     every other write (checkpoint, schema extend, decompose, resume, ...)
 //     from overlapping an in-flight run.
-//   - Per-connection pipelining: each connection has a reader thread
-//     feeding a bounded command queue and a worker thread answering in
-//     order.  A full queue blocks the reader — TCP backpressure is the
-//     flow control.
+//   - One thread per connection: it reads a command, executes it and
+//     sends the reply in one write, then reads the next.  A client may
+//     pipeline; commands wait in the kernel socket buffer, and a full
+//     buffer blocks the client's send — TCP backpressure is the flow
+//     control.  A follower's subscription adds a second thread that
+//     reads its acks while the first pumps its journal stream.
 //   - Per-connection identity: `session user` is intercepted and applied
 //     under the exclusive lock before each write, and handed to each run
 //     when it starts, so concurrent clients' products carry the right
 //     creating user.
 //   - Graceful shutdown: `stop()` raises the session's cooperative cancel
 //     flag (an in-flight `run` stops launching tasks and its run record
-//     stays open), refuses queued commands, seals every open run and
-//     syncs the journal — the store on disk is fsck-clean and every
+//     stays open), refuses commands read after it, seals every open run
+//     and syncs the journal — the store on disk is fsck-clean and every
 //     interrupted run resumable.
 #pragma once
 
@@ -52,16 +54,14 @@
 namespace herc::server {
 
 struct ServeOptions {
-  /// Commands a connection may have in flight (queued + executing) before
-  /// its reader stops draining the socket.
-  std::size_t queue_depth = 32;
   /// Serve a replica: write-classified commands are refused with a
   /// structured error, the hello banner says so, and shutdown does not
   /// seal open runs (they are the leader's live runs, not crashes).
   bool read_only = false;
-  /// Reap a connection that sends nothing for this long while it has no
-  /// command queued or executing (a half-open peer must not pin its
-  /// reader+worker threads forever).  0 disables the reaper.
+  /// Reap a connection that sends nothing for this long between commands
+  /// (a half-open peer must not pin its connection thread forever).  A
+  /// command's execution does not count as idle, nor does a follower's
+  /// running subscription.  0 disables the reaper.
   int idle_timeout_ms = 600'000;
   /// A peer that starts a frame must finish it within this (half-open
   /// mid-frame, or a hostile trickler).  0 disables the deadline.
@@ -78,11 +78,12 @@ struct ServeOptions {
 /// `replica::JournalShipper` in src/replica — the server knows only this
 /// interface, so herc_server does not depend on herc_replica).
 ///
-/// Lifecycle per follower connection: the worker thread calls `subscribe`
-/// under the *exclusive* session lock (no mutation can interleave, so the
-/// bootstrap is position-atomic), then becomes the connection's pump,
-/// draining `next_frame` to the socket until the stream ends.  The reader
-/// thread feeds `ack` as progress reports arrive.
+/// Lifecycle per follower connection: the connection thread calls
+/// `subscribe` under the *exclusive* session lock (no mutation can
+/// interleave, so the bootstrap is position-atomic), then becomes the
+/// connection's pump, draining `next_frame` to the socket until the
+/// stream ends.  A second thread reads the socket, feeding `ack` as
+/// progress reports arrive.
 class ReplicationHub {
  public:
   virtual ~ReplicationHub() = default;
@@ -134,10 +135,16 @@ struct ServerStats {
   std::atomic<std::uint64_t> replays_served{0};
   /// Connections closed by the idle/mid-frame deadline reaper.
   std::atomic<std::uint64_t> connections_reaped{0};
-  /// Per-command wall time (queue wait excluded), microseconds.  The
-  /// `stats` command reports p50/p95/p99 from here; the scale benchmark
-  /// reads it for BENCH_scale.json.
+  /// Per-command wall time (lock wait + execute; the reply's send is
+  /// `send_latency`), microseconds.  The `stats` command reports
+  /// p50/p95/p99 from here; the scale benchmark reads it for
+  /// BENCH_scale.json.
   LatencyHistogram command_latency;
+  /// The part of `command_latency` spent acquiring the session lock or
+  /// the run gate (`lock_wait_us` in `stats --json`).
+  LatencyHistogram lock_wait_latency;
+  /// Writing each reply to the socket (`send_us`).
+  LatencyHistogram send_latency;
 };
 
 class Server {
@@ -159,8 +166,9 @@ class Server {
   void start();
 
   /// Graceful shutdown: stop accepting, cancel in-flight runs
-  /// cooperatively, answer still-queued commands with an error, join every
-  /// connection, then seal open runs and sync the journal.  Idempotent.
+  /// cooperatively, answer commands read after this with an error, join
+  /// every connection, then seal open runs and sync the journal.
+  /// Idempotent.
   void stop();
 
   [[nodiscard]] bool running() const { return running_.load(); }
@@ -193,8 +201,17 @@ class Server {
   struct ClientWindow;
 
   void accept_loop();
-  void reader_loop(Connection& conn);
-  void worker_loop(Connection& conn);
+  /// A connection's thread: reads each frame and answers it before
+  /// reading the next.
+  void connection_loop(Connection& conn);
+  /// Reads the next non-ack frame under the read deadlines, passing acks
+  /// to the hub.  False when the connection ends: EOF, a dead peer, or a
+  /// reap (idle between commands unless `streaming`, or stalled
+  /// mid-frame).
+  bool read_request(Connection& conn, Frame& frame, bool streaming);
+  /// Executes a command frame and sends its reply; false when the
+  /// connection should close (quit, or the peer is gone).
+  bool answer(Connection& conn, const Frame& frame);
   /// Executes one command under the proper lock; returns the result frame
   /// payload and appends printed output to `output`.
   std::string execute_command(Connection& conn, const std::string& line,
@@ -208,8 +225,8 @@ class Server {
   /// its LRU tick; evicts the least recently active idle client at cap.
   ClientWindow& touch_window(const std::string& client_id);
   /// Handles a kSubscribe frame: registers with the hub and pumps the
-  /// journal stream to the socket until it ends.  The connection closes
-  /// after.
+  /// journal stream to the socket until it ends, while a second thread
+  /// reads the follower's acks.  The connection closes after.
   void serve_subscription(Connection& conn, const Frame& frame);
   [[nodiscard]] std::string render_stats(const Connection& conn,
                                          bool json) const;

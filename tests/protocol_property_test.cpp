@@ -3,10 +3,11 @@
 //
 //   1. Round-trip: random frames of every type and payload shape encode,
 //      ship through a real socketpair and decode bit-identically.
-//   2. Truncation at EVERY byte offset of an encoded stream: the reader
-//      yields exactly the fully-contained frames, then either reports a
-//      clean end-of-stream (boundary cut) or throws NetError (mid-frame
-//      cut) — it never hangs and never fabricates a frame.
+//   2. Truncation at EVERY byte offset of an encoded stream (and of a
+//      one-buffer Output+Result reply): the reader yields exactly the
+//      fully-contained frames, then either reports a clean end-of-stream
+//      (boundary cut) or throws NetError (mid-frame cut) — it never hangs
+//      and never fabricates a frame.
 //   3. Corruption of every single byte (XOR 0x5A): the reader terminates
 //      cleanly — payload-byte corruption still parses (with exactly one
 //      differing payload), type-byte corruption throws, length-byte
@@ -143,6 +144,69 @@ TEST(ProtocolPropertyTest, EveryByteTruncationRejectsCleanly) {
     const bool at_boundary = boundaries[contained] == cut;
     EXPECT_EQ(error.empty(), at_boundary);
   }
+}
+
+TEST(ProtocolPropertyTest, OneWriteReplyDecodesInOrderAndTruncatesCleanly) {
+  std::uint64_t rng = testprop::base_seed(0x5E7Du);
+  SCOPED_TRACE(testprop::seed_note(rng));
+  for (int round = 0; round < 8; ++round) {
+    Frame output = random_frame(rng);
+    output.type = FrameType::kOutput;
+    output.payload.resize(output.payload.size() % 48);
+    const std::string result = encode_result(
+        round % 2 == 0 ? support::Severity::kClean : support::Severity::kError,
+        random_frame(rng).payload.substr(0, 24));
+    const std::string reply = encode_reply(output.payload, result);
+    // The same bytes as the two frames written one by one: the wire does
+    // not change, and an empty output sends no kOutput frame at all.
+    std::vector<Frame> sent;
+    if (!output.payload.empty()) sent.push_back(output);
+    sent.push_back({FrameType::kResult, result});
+    std::string expected;
+    std::vector<std::size_t> boundaries = {0};
+    for (const Frame& f : sent) {
+      expected += encode_frame(f);
+      boundaries.push_back(expected.size());
+    }
+    ASSERT_EQ(reply, expected);
+
+    for (std::size_t cut = 0; cut <= reply.size(); ++cut) {
+      SCOPED_TRACE("round " + std::to_string(round) + ", cut at byte " +
+                   std::to_string(cut));
+      std::string error;
+      const std::vector<Frame> got = decode_stream(reply.substr(0, cut), error);
+      // Whole frames in order, then a clean EOF only at a frame boundary.
+      std::size_t contained = 0;
+      while (contained + 1 < boundaries.size() &&
+             boundaries[contained + 1] <= cut) {
+        ++contained;
+      }
+      ASSERT_EQ(got.size(), contained);
+      for (std::size_t i = 0; i < contained; ++i) {
+        EXPECT_EQ(got[i].type, sent[i].type);
+        EXPECT_EQ(got[i].payload, sent[i].payload);
+      }
+      EXPECT_EQ(error.empty(), boundaries[contained] == cut);
+    }
+  }
+}
+
+TEST(ProtocolPropertyTest, WriteReplySendsTheEncodedReply) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string result = encode_result(support::Severity::kClean, "");
+  EXPECT_EQ(write_reply(fds[1], "hello\n", result),
+            encode_reply("hello\n", result).size());
+  ::close(fds[1]);
+  Frame frame;
+  ASSERT_TRUE(read_frame(fds[0], frame));
+  EXPECT_EQ(frame.type, FrameType::kOutput);
+  EXPECT_EQ(frame.payload, "hello\n");
+  ASSERT_TRUE(read_frame(fds[0], frame));
+  EXPECT_EQ(frame.type, FrameType::kResult);
+  EXPECT_EQ(frame.payload, result);
+  EXPECT_FALSE(read_frame(fds[0], frame));
+  ::close(fds[0]);
 }
 
 TEST(ProtocolPropertyTest, EveryByteCorruptionTerminatesBounded) {

@@ -139,7 +139,7 @@ TEST(ServerStressTest, ManyClientsMixQueriesAndMutations) {
 TEST(ServerStressTest, PipelinedRepliesArriveStrictlyInOrder) {
   ServedSession served;
   Client client = Client::connect(served.bound);
-  constexpr int kDepth = 64;  // deeper than the queue: backpressure path
+  constexpr int kDepth = 64;  // all in flight before the first reply is read
   for (int i = 0; i < kDepth; ++i) {
     client.send("echo msg-" + std::to_string(i));
   }
@@ -148,6 +148,69 @@ TEST(ServerStressTest, PipelinedRepliesArriveStrictlyInOrder) {
     EXPECT_TRUE(result.ok());
     EXPECT_EQ(result.output, "msg-" + std::to_string(i) + "\n");
   }
+  client.close();
+  served.server.stop();
+}
+
+/// Threads in this process (entries of /proc/self/task).
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       fs::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServerStressTest, CommandConnectionCostsOneThread) {
+  ServedSession served;
+  // Warm the accept path once so lazily started threads are counted in
+  // the baseline, not against the connections.
+  {
+    Client warm = Client::connect(served.bound);
+    ASSERT_TRUE(warm.call("entities").ok());
+    warm.close();
+  }
+  const auto settle = Clock::now();
+  while (served.server.stats().connections_active.load() != 0 &&
+         millis_since(settle) < 5'000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::size_t before = process_threads();
+
+  constexpr std::size_t kClients = 8;
+  std::vector<Client> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.push_back(Client::connect(served.bound));
+    ASSERT_TRUE(clients.back().call("entities").ok());
+  }
+  // Warmed and idle: each connection holds exactly its one thread.
+  EXPECT_LE(process_threads(), before + kClients);
+  for (Client& c : clients) c.close();
+  served.server.stop();
+}
+
+TEST(ServerStressTest, StatsReportLockWaitAndSendStages) {
+  ServedSession served;
+  Client client = Client::connect(served.bound);
+  ASSERT_TRUE(client.call("entities").ok());
+  ASSERT_TRUE(client.call("import Stimuli s", "stimuli s\nwave in 0:0\n").ok());
+  const CallResult json = client.call("stats --json");
+  ASSERT_TRUE(json.ok());
+  // Both commands waited for their lock and had their replies sent before
+  // `stats` ran on the same connection.
+  const auto count_of = [&](const std::string& key) {
+    const std::size_t at = json.output.find("\"" + key + "\":{\"p50\":");
+    if (at == std::string::npos) return std::string("missing");
+    const std::size_t count = json.output.find("\"count\":", at) + 8;
+    return json.output.substr(count, json.output.find('}', count) - count);
+  };
+  EXPECT_EQ(count_of("lock_wait_us"), "2") << json.output;
+  EXPECT_EQ(count_of("send_us"), "2") << json.output;
+  const CallResult text = client.call("stats");
+  EXPECT_NE(text.output.find("lock wait: p50 "), std::string::npos)
+      << text.output;
+  EXPECT_NE(text.output.find("send: p50 "), std::string::npos) << text.output;
   client.close();
   served.server.stop();
 }
@@ -242,23 +305,23 @@ TEST(ServerStressTest, StopMidRunLeavesAResumableFsckCleanStore) {
 //
 // The two nastiest shutdown windows: a client mid-pipeline (replies and
 // refusals must stay strictly ordered, with no ok after the first
-// refusal), and a client whose bounded queue is full (its reader is
-// parked on backpressure when the stop lands).  Both run under the TSan
-// CI job, so a leaked connection thread or a lock order mistake in
-// `stop()` fails the suite, not just this process's exit code.
+// refusal), and a client whose pipelined commands back up in the kernel
+// socket buffer behind a slow run (its send is blocked on backpressure
+// when the stop lands).  Both run under the TSan CI job, so a leaked
+// connection thread or a lock order mistake in `stop()` fails the suite,
+// not just this process's exit code.
 
 TEST(ServerStressTest, StopMidPipelineDrainsOrRefusesInOrder) {
   core::DesignSession session(schema::make_full_schema());
   ServeOptions options;
-  options.queue_depth = 4;  // small queue: the reader parks early
   Server server(session, options);
   const Endpoint bound = server.add_listener(Endpoint::parse("127.0.0.1:0"));
   server.start();
 
   constexpr int kCommands = 200;
   Client client = Client::connect(bound);
-  // Sends run in a second thread: once the queue is full the server stops
-  // draining the socket and a blocked send must not deadlock the test.
+  // Sends run in a second thread: once the socket buffers fill, the
+  // client's send blocks and must not deadlock the test.
   std::thread sender([&] {
     try {
       for (int i = 0; i < kCommands; ++i) {
@@ -320,15 +383,14 @@ TEST(ServerStressTest, StopWithFullQueueSealsAResumableStore) {
     core::DesignSession session(schema::make_full_schema());
     session.open_storage(dir);
     ServeOptions options;
-    options.queue_depth = 2;
     Server server(session, options);
     const Endpoint bound = server.add_listener(Endpoint::parse("127.0.0.1:0"));
     server.start();
 
     Client client = Client::connect(bound);
     ASSERT_EQ(build_simulate_flow(client), 0);
-    // A slow run at the queue head plus a flood behind it: the worker is
-    // busy, the 2-slot queue fills, the reader parks on backpressure —
+    // A slow run plus a flood behind it: the connection thread is busy in
+    // the run, the flood waits unread in the kernel socket buffer —
     // exactly the state stop() must unwind without losing the store.
     std::thread sender([&] {
       try {
