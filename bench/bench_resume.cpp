@@ -101,16 +101,6 @@ graph::TaskGraph make_chain_flow(const schema::TaskSchema& schema,
   return flow;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string out;
-  char buffer[1 << 16];
-  while (in.read(buffer, sizeof buffer) || in.gcount() > 0) {
-    out.append(buffer, static_cast<std::size_t>(in.gcount()));
-  }
-  return out;
-}
-
 }  // namespace
 
 int main() {
@@ -126,11 +116,13 @@ int main() {
 
   // Uninterrupted 1000-task run against a fresh store.
   double full_run_ms = 0;
+  std::uint64_t run_epoch = 0;
   {
     support::ManualClock clock(718000000000000LL, 1000);
     storage::DurableHistory store(schema, clock, dir, options);
     graph::TaskGraph flow = make_chain_flow(schema, store.db());
     store.checkpoint();  // imports -> snapshot; journal = run era only
+    run_epoch = store.epoch();
     exec::Executor exec(store.db(), registry);
     const auto start = Clock::now();
     const exec::ExecResult result = exec.run(flow);
@@ -143,13 +135,14 @@ int main() {
 
   // Simulate a crash halfway: keep the journal prefix up to the 500th
   // task-finished frame, exactly what a kill at that instant leaves.
-  const std::string journal_path = (fs::path(dir) / "journal.wal").string();
-  const std::string journal = slurp(journal_path);
-  const storage::ScanResult scan = storage::scan_journal(journal);
+  const std::string journal = storage::read_file(storage::journal_path(dir));
+  const std::vector<std::string> records =
+      storage::journal_records(dir, run_epoch).value_or(
+          std::vector<std::string>{});
   std::size_t cut = 0;
   std::size_t fins = 0;
   std::size_t at = storage::kJournalHeaderBytes;
-  for (const std::string& record : scan.records) {
+  for (const std::string& record : records) {
     at += storage::kFrameHeaderBytes + record.size();
     if (record.rfind("tfin|", 0) == 0 && ++fins == kTasks / 2) {
       cut = at;
@@ -164,12 +157,9 @@ int main() {
   const auto crash_at = [&](const std::string& trial) {
     fs::remove_all(trial);
     fs::create_directories(trial);
-    fs::copy_file(fs::path(dir) / "schema.herc",
-                  fs::path(trial) / "schema.herc");
-    fs::copy_file(fs::path(dir) / "snapshot.herc",
-                  fs::path(trial) / "snapshot.herc");
-    std::ofstream out((fs::path(trial) / "journal.wal").string(),
-                      std::ios::binary);
+    fs::copy_file(storage::schema_path(dir), storage::schema_path(trial));
+    fs::copy_file(storage::snapshot_path(dir), storage::snapshot_path(trial));
+    std::ofstream out(storage::journal_path(trial), std::ios::binary);
     out.write(journal.data(), static_cast<std::streamsize>(cut));
   };
 

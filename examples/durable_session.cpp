@@ -18,6 +18,7 @@
 #include "core/session.hpp"
 #include "schema/standard_schemas.hpp"
 #include "storage/journal.hpp"
+#include "storage/store.hpp"
 #include "support/clock.hpp"
 
 using namespace herc;
@@ -48,7 +49,7 @@ int main() {
   const std::string dir =
       (fs::temp_directory_path() / "herc_durable_session").string();
   fs::remove_all(dir);
-  const std::string wal = (fs::path(dir) / "journal.wal").string();
+  const std::string wal = storage::journal_path(dir);
 
   // 1. Open a store and record some history.
   {

@@ -110,12 +110,13 @@ herc::schema::TaskSchema load_schema(const std::string& ref) {
 }
 
 /// The session a store-facing subcommand works on: an existing store
-/// dictates the schema (its schema.herc), a fresh one takes `schema_ref`.
+/// dictates the schema (the one it recorded), a fresh one takes `schema_ref`.
 std::unique_ptr<herc::core::DesignSession> open_session(
     const std::string& dir, const std::string& schema_ref) {
   herc::schema::TaskSchema schema =
       herc::storage::DurableHistory::exists(dir)
-          ? herc::schema::parse_schema(slurp(dir + "/schema.herc"))
+          ? herc::schema::parse_schema(herc::storage::read_file(
+                herc::storage::schema_path(dir)))
           : load_schema(schema_ref);
   auto session =
       std::make_unique<herc::core::DesignSession>(std::move(schema));

@@ -3,10 +3,6 @@
 //
 //   ./hercules_shell                        # interactive REPL
 //   ./hercules_shell script.hcl             # run a script, exit non-zero on errors
-//   ./hercules_shell --fsck <dir> [--repair]  # audit a store; the exit code
-//                                             # is the worst severity found
-//                                             # (0 clean, 1 warnings,
-//                                             #  2 corruption)
 //   ./hercules_shell --lint schema <fig1|fig2|full|file> [--json]
 //   ./hercules_shell --lint flow <fig1|fig2|full|file> <file.flow> [--json]
 //   ./hercules_shell --lint script <file.hcl> [--json]
@@ -15,6 +11,8 @@
 //                                           # static analysis; the exit code
 //                                           # is the worst severity found
 //                                           # (0 clean, 1 warnings, 2 errors)
+//
+// A store is audited and repaired with `herc fsck <dir> [--repair] [--json]`.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -111,8 +109,8 @@ int run_lint(std::vector<std::string> args) {
                                                             : "HL301",
               f.severity, "store '" + args[i + 1] + "'",
               f.code + ": " + f.detail,
-              "run --fsck " + args[i + 1] + " --repair to fix what is"
-              " repairable");
+              "run herc fsck " + args[i + 1] +
+                  " --repair to fix what is repairable");
       }
       reports.push_back(std::move(r));
       i += 2;
@@ -139,25 +137,6 @@ int run_lint(std::vector<std::string> args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "--fsck") {
-    if (argc < 3 || argc > 4 ||
-        (argc == 4 && std::string(argv[3]) != "--repair")) {
-      std::cerr << "usage: hercules_shell --fsck <dir> [--repair]\n";
-      return 2;
-    }
-    herc::storage::FsckOptions options;
-    options.repair = argc == 4;
-    try {
-      const herc::storage::FsckReport report =
-          herc::storage::fsck_store(argv[2], options);
-      std::cout << report.render();
-      return report.exit_code();
-    } catch (const std::exception& e) {
-      std::cerr << "fsck: " << e.what() << "\n";
-      return 2;
-    }
-  }
-
   if (argc > 1 && std::string(argv[1]) == "--lint") {
     try {
       return run_lint(std::vector<std::string>(argv + 2, argv + argc));

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for `herc replicate`: a leader and two streaming
 # followers over TCP, mixed load on the leader, reads served (and writes
-# refused) by the followers — then SIGKILL the leader, promote a follower
-# with `herc promote`, lead from the promoted store, re-attach the other
-# follower to the new leader, and prove every store audits clean and the
-# survivors' reads match.
+# refused) by the followers, a live checkpoint streamed to both — then
+# SIGKILL the leader, promote a follower with `herc promote` (its epoch
+# must land above the checkpointed one), lead from the promoted store,
+# re-attach the other follower to the new leader, and prove every store
+# audits clean and the survivors' reads match.
 #
 #   replica_smoke.sh <path-to-herc-binary> <scratch-dir>
 set -eu
@@ -100,6 +101,34 @@ if "$HERC" connect "$F1ADDR" -e 'import Stimuli nope ""' 2>/dev/null; then
   echo "FAIL: a read-only follower accepted a write"; exit 1;
 fi
 
+# A live checkpoint streams to both followers, and the next write arrives
+# as the first frame of the new epoch.  Wait until both followers acked
+# the leader's new epoch with no lag, so the promotion's fence below
+# crosses a streamed checkpoint.
+"$HERC" connect "$ADDR" -e checkpoint || {
+  echo "FAIL: checkpoint failed on the leader"; exit 1;
+}
+"$HERC" connect "$ADDR" -e "session user alice" \
+  -e 'import Stimuli after_checkpoint <<W
+stimuli ac
+wave in 0:0 100:1 200:0
+W' || { echo "FAIL: the leader refused a write after checkpoint"; exit 1; }
+EPOCH=$("$HERC" connect "$ADDR" -e "stats --json" \
+  | sed -n 's/.*"journal_epoch":\([0-9]*\).*/\1/p')
+[ -n "$EPOCH" ] || { echo "FAIL: no journal_epoch in the leader's stats"; exit 1; }
+CAUGHT=0
+for _ in $(seq 1 100); do
+  ACKED=$("$HERC" replicas "$ADDR" --json \
+    | grep -o "\"acked_epoch\":$EPOCH,\"acked_seq\":[0-9]*,\"lag_frames\":0" \
+    | wc -l)
+  if [ "$ACKED" -eq 2 ]; then CAUGHT=1; break; fi
+  sleep 0.1
+done
+[ "$CAUGHT" = 1 ] || {
+  echo "FAIL: followers never acked epoch $EPOCH with no lag";
+  "$HERC" replicas "$ADDR" --json; exit 1;
+}
+
 # The moment of truth: the leader dies without ceremony.
 kill -KILL "$LEADER"
 wait "$LEADER" 2>/dev/null || true
@@ -109,7 +138,12 @@ wait "$LEADER" 2>/dev/null || true
 kill -TERM "$F1" && wait "$F1" || {
   echo "FAIL: follower 1 exited nonzero"; cat "$SCRATCH/herc_replica_f1.log"; exit 1;
 }
-"$HERC" promote "$F1_STORE" || { echo "FAIL: promote failed"; exit 1; }
+PROMOTED=$("$HERC" promote "$F1_STORE") || { echo "FAIL: promote failed"; exit 1; }
+echo "$PROMOTED"
+NEW_EPOCH=$(echo "$PROMOTED" | sed -n 's/.* at epoch \([0-9]*\).*/\1/p')
+[ -n "$NEW_EPOCH" ] && [ "$NEW_EPOCH" -gt "$EPOCH" ] || {
+  echo "FAIL: promotion epoch '$NEW_EPOCH' is not above the leader's $EPOCH"; exit 1;
+}
 "$HERC" fsck "$F1_STORE" || { echo "FAIL: promoted store does not audit clean"; exit 1; }
 
 "$HERC" serve "$F1_STORE" --listen 127.0.0.1:0 \

@@ -61,14 +61,6 @@ BrowserPage InstanceBrowser::page(
   return out;
 }
 
-std::vector<InstanceId> InstanceBrowser::select(
-    const BrowserFilter& filter) const {
-  const history::QueryPage page =
-      history::run_page(*db_, to_query(filter), index_,
-                        std::numeric_limits<std::size_t>::max());
-  return page.ids;
-}
-
 std::string InstanceBrowser::render_rows(
     const std::vector<BrowserRow>& rows) const {
   std::string out = "  user          date                        name\n";

@@ -76,10 +76,6 @@ class InstanceBrowser {
       const BrowserFilter& filter, std::size_t limit,
       const std::optional<history::PageCursor>& after = std::nullopt) const;
 
-  /// Instance ids of `rows(filter)` — handy for `bind_set`.
-  [[nodiscard]] std::vector<data::InstanceId> select(
-      const BrowserFilter& filter = {}) const;
-
   /// ASCII rendering of the browser pane.
   [[nodiscard]] std::string render(const BrowserFilter& filter = {}) const;
 

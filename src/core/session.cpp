@@ -1,11 +1,6 @@
 #include "core/session.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "schema/schema_io.hpp"
-#include "storage/journal.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 #include "tools/fault_injection.hpp"
@@ -219,26 +214,6 @@ std::string DesignSession::save() const {
   return out;
 }
 
-namespace {
-
-/// The current journal's record payloads, for index catch-up.  Any problem
-/// (no file, foreign epoch) reads as "no records": the index then rebuilds
-/// or, if its seq claims otherwise, falls back to a rebuild too.
-std::vector<std::string> journal_records_for(const std::string& dir,
-                                             std::uint64_t epoch) {
-  const std::filesystem::path path =
-      std::filesystem::path(dir) / "journal.wal";
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const storage::ScanResult scan = storage::scan_journal(buffer.str());
-  if (!scan.header_valid || scan.epoch != epoch) return {};
-  return scan.records;
-}
-
-}  // namespace
-
 storage::RecoveryReport DesignSession::open_storage(
     const std::string& dir, storage::StoreOptions options) {
   require_writable("open");
@@ -258,8 +233,11 @@ storage::RecoveryReport DesignSession::open_storage(
   executor_ = std::make_unique<exec::Executor>(storage_->db(), *registry_);
   executor_->set_cancel_flag(cancel_);
   indexes_ = std::make_unique<index::HistoryIndexes>(storage_->db());
+  // Index catch-up from the journal.  No records (no file, foreign epoch)
+  // makes the index rebuild, as does a seq the records do not reach.
   indexes_->open(dir, storage_->epoch(),
-                 journal_records_for(dir, storage_->epoch()));
+                 storage::journal_records(dir, storage_->epoch())
+                     .value_or(std::vector<std::string>{}));
   indexes_->attach();
   return storage_->recovery();
 }

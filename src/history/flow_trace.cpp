@@ -89,15 +89,6 @@ TaskGraph forward_trace(const HistoryDb& db, InstanceId id) {
                     "forward-trace");
 }
 
-TaskGraph full_trace(const HistoryDb& db, InstanceId id) {
-  std::vector<InstanceId> members{id};
-  for (const InstanceId dep : db.dependent_closure(id)) {
-    members.push_back(dep);
-  }
-  return make_trace(db, std::move(members), /*close_backward=*/true,
-                    "full-trace");
-}
-
 std::vector<InstanceId> VersionTree::roots() const {
   std::vector<InstanceId> out;
   for (const Entry& e : entries) {

@@ -26,10 +26,6 @@ namespace herc::history {
 [[nodiscard]] graph::TaskGraph forward_trace(const HistoryDb& db,
                                              data::InstanceId id);
 
-/// Union of the backward and forward traces around `id`.
-[[nodiscard]] graph::TaskGraph full_trace(const HistoryDb& db,
-                                          data::InstanceId id);
-
 /// A traditional version tree (Fig. 11a): the edit lineage that contains
 /// `member`, without tool information.
 struct VersionTree {

@@ -16,10 +16,6 @@ PageCursor PageCursor::top() {
                     std::numeric_limits<std::uint32_t>::max()};
 }
 
-bool PageCursor::admits(std::int64_t c, std::uint32_t i) const {
-  return c < created || (c == created && i < id);
-}
-
 std::string PageCursor::encode() const {
   return std::to_string(created) + ":" + std::to_string(id);
 }

@@ -63,9 +63,6 @@ struct PageCursor {
 
   /// The position before the first row: every instance is after it.
   [[nodiscard]] static PageCursor top();
-  /// True when `created`/`id` (an instance's sort key) lies strictly after
-  /// this cursor in listing order.
-  [[nodiscard]] bool admits(std::int64_t c, std::uint32_t i) const;
 
   [[nodiscard]] std::string encode() const;
   /// Parses an `encode()` string; nullopt on malformed input.

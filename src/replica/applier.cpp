@@ -2,15 +2,12 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "schema/schema_io.hpp"
 #include "server/protocol.hpp"
 #include "support/backoff.hpp"
 #include "support/error.hpp"
-#include "support/record.hpp"
 #include "support/text.hpp"
 
 namespace herc::replica {
@@ -20,16 +17,6 @@ using support::HistoryError;
 using support::NetError;
 
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw HistoryError("replica: cannot read '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 std::uint64_t seed_from(std::string_view text) {
   std::uint64_t hash = 1469598103934665603ULL;
@@ -67,15 +54,6 @@ ReplicaApplier::ReplicaApplier(server::Endpoint leader, std::string dir,
 
 ReplicaApplier::~ReplicaApplier() { stop(); }
 
-std::string ReplicaApplier::schema_path() const {
-  return (fs::path(dir_) / "schema.herc").string();
-}
-std::string ReplicaApplier::snapshot_path() const {
-  return (fs::path(dir_) / "snapshot.herc").string();
-}
-std::string ReplicaApplier::journal_path() const {
-  return (fs::path(dir_) / "journal.wal").string();
-}
 std::string ReplicaApplier::marker_path() const {
   return (fs::path(dir_) / "replica.herc").string();
 }
@@ -122,107 +100,56 @@ void ReplicaApplier::write_marker(std::uint64_t epoch,
 // ---- local recovery ----------------------------------------------------------
 
 bool ReplicaApplier::recover_local() {
-  if (!fs::exists(marker_path()) || !fs::exists(schema_path()) ||
-      !fs::exists(snapshot_path())) {
+  if (!fs::exists(marker_path()) || !fs::exists(storage::schema_path(dir_)) ||
+      !fs::exists(storage::snapshot_path(dir_))) {
     return false;
   }
 
   // Marker: "replica base <epoch> <seq> leader <endpoint>".
   const std::vector<std::string> marker =
-      support::split_ws(support::trim(read_file(marker_path())));
+      support::split_ws(support::trim(storage::read_file(marker_path())));
+  const HistoryError malformed("replica store '" + dir_ +
+                               "': malformed replica marker");
   if (marker.size() < 6 || marker[0] != "replica" || marker[1] != "base" ||
       marker[4] != "leader") {
-    set_error("replica store '" + dir_ + "': malformed replica marker");
-    return false;
+    throw malformed;
   }
   const std::optional<std::uint64_t> marker_epoch = parse_u64(marker[2]);
   const std::optional<std::uint64_t> marker_base = parse_u64(marker[3]);
-  if (!marker_epoch.has_value() || !marker_base.has_value()) {
-    set_error("replica store '" + dir_ + "': malformed replica marker");
-    return false;
-  }
+  if (!marker_epoch.has_value() || !marker_base.has_value()) throw malformed;
 
+  const std::string schema_text =
+      storage::read_file(storage::schema_path(dir_));
   if (schema_ == nullptr) {
     schema_ = std::make_unique<schema::TaskSchema>(
-        schema::parse_schema(read_file(schema_path())));
+        schema::parse_schema(schema_text));
   } else {
-    *schema_ = schema::parse_schema(read_file(schema_path()));
+    *schema_ = schema::parse_schema(schema_text);
   }
 
-  // Snapshot: a "snap" meta line, then a full save image — the leader's
-  // format.  A snapshot from a different epoch than the marker means a
-  // crash landed between install steps; resync rather than guess.
+  // A snapshot from a different epoch than the marker means a crash landed
+  // between install steps; resync rather than guess.
   auto fresh = std::make_unique<history::HistoryDb>(*schema_, clock_);
-  bool seen_meta = false;
-  for (const std::string& line :
-       support::split(read_file(snapshot_path()), '\n')) {
-    if (support::trim(line).empty()) continue;
-    if (!seen_meta) {
-      support::RecordReader rec(line);
-      if (rec.kind() != "snap") {
-        set_error("replica store '" + dir_ +
-                  "': snapshot does not start with a snap record");
-        return false;
-      }
-      if (static_cast<std::uint64_t>(rec.next_int64()) != *marker_epoch) {
-        set_error("replica store '" + dir_ +
-                  "': snapshot epoch differs from the replica marker");
-        return false;
-      }
-      seen_meta = true;
-      continue;
-    }
-    fresh->apply_saved_line(line);
+  const std::optional<std::uint64_t> snapshot_epoch =
+      storage::load_snapshot(dir_, *fresh);
+  if (!snapshot_epoch.has_value()) {
+    throw HistoryError("replica store '" + dir_ + "': empty snapshot");
   }
-  if (!seen_meta) {
-    set_error("replica store '" + dir_ + "': empty snapshot");
-    return false;
+  if (*snapshot_epoch != *marker_epoch) {
+    throw HistoryError("replica store '" + dir_ + "': snapshot epoch " +
+                       std::to_string(*snapshot_epoch) +
+                       " differs from the replica marker's epoch " +
+                       std::to_string(*marker_epoch));
   }
 
   // Journal tail on top — the follower's own WAL of applied frames.  No
   // crash sweep here: open runs are the leader's live runs.
   journal_.reset();
-  std::uint64_t replayed = 0;
-  bool need_fresh_journal = true;
-  has_tail_ = false;
-  if (fs::exists(journal_path())) {
-    const storage::ScanResult scan =
-        storage::scan_journal(read_file(journal_path()));
-    if (scan.header_valid && scan.epoch == *marker_epoch) {
-      for (const std::string& record : scan.records) {
-        for (const std::string& line : support::split(record, '\n')) {
-          fresh->apply_saved_line(line);
-        }
-      }
-      replayed = scan.records.size();
-      if (!scan.records.empty()) {
-        tail_checksum_ = storage::frame_checksum(scan.records.back());
-        has_tail_ = true;
-      }
-      if (scan.torn) {
-        std::error_code ec;
-        fs::resize_file(journal_path(), scan.valid_bytes, ec);
-        if (ec) {
-          set_error("replica store '" + dir_ +
-                    "': cannot truncate torn journal tail: " + ec.message());
-          return false;
-        }
-      }
-      journal_ = storage::Journal::open(journal_path(), *marker_epoch,
-                                        scan.valid_bytes, options_.journal);
-      need_fresh_journal = false;
-    } else if (scan.header_valid && scan.epoch > *marker_epoch) {
-      set_error("replica store '" + dir_ + "': journal is at future epoch " +
-                std::to_string(scan.epoch) + " but the marker is at epoch " +
-                std::to_string(*marker_epoch) + "; resyncing");
-      return false;
-    }
-    // A stale-epoch journal's frames are inside the snapshot: discard.
-  }
-  if (need_fresh_journal) {
-    journal_ = storage::Journal::create(journal_path(), *marker_epoch,
-                                        options_.journal);
-  }
+  storage::JournalReplay replay = storage::replay_journal(
+      dir_, *marker_epoch, *fresh, options_.journal);
+  journal_ = std::move(replay.journal);
+  has_tail_ = replay.tail_checksum.has_value();
+  tail_checksum_ = replay.tail_checksum.value_or(0);
 
   if (db_ == nullptr) {
     db_ = std::move(fresh);
@@ -231,7 +158,7 @@ bool ReplicaApplier::recover_local() {
   }
   base_seq_ = *marker_base;
   need_snapshot_ = false;
-  publish_position(*marker_epoch, *marker_base + replayed);
+  publish_position(*marker_epoch, *marker_base + replay.applied);
   return true;
 }
 
@@ -253,15 +180,11 @@ void ReplicaApplier::install_snapshot(const SnapshotShipment& snapshot) {
     *db_ = std::move(fresh);
   }
 
-  storage::write_file_atomic(schema_path(), snapshot.schema_text);
-  support::RecordWriter meta("snap");
-  meta.field(static_cast<std::int64_t>(snapshot.epoch));
-  meta.field(static_cast<std::uint32_t>(db_->size()));
-  storage::write_file_atomic(snapshot_path(),
-                             meta.str() + "\n" + snapshot.image);
+  storage::write_file_atomic(storage::schema_path(dir_), snapshot.schema_text);
+  storage::write_snapshot(dir_, snapshot.epoch, db_->size(), snapshot.image);
   journal_.reset();
-  journal_ = storage::Journal::create(journal_path(), snapshot.epoch,
-                                      options_.journal);
+  journal_ = storage::Journal::create(storage::journal_path(dir_),
+                                      snapshot.epoch, options_.journal);
   // Marker last: a crash before this line leaves marker and snapshot at
   // different epochs, which recovery answers with a clean resync.
   write_marker(snapshot.epoch, snapshot.seq);
@@ -303,13 +226,10 @@ void ReplicaApplier::apply_checkpoint(std::uint64_t new_epoch) {
   if (new_epoch <= epoch_.load(std::memory_order_relaxed)) return;
   // The leader compacted: everything we have applied is now inside its
   // snapshot of `new_epoch`.  Mirror the compaction locally.
-  support::RecordWriter meta("snap");
-  meta.field(static_cast<std::int64_t>(new_epoch));
-  meta.field(static_cast<std::uint32_t>(db_->size()));
-  storage::write_file_atomic(snapshot_path(), meta.str() + "\n" + db_->save());
+  storage::write_snapshot(dir_, new_epoch, db_->size(), db_->save());
   journal_.reset();
-  journal_ =
-      storage::Journal::create(journal_path(), new_epoch, options_.journal);
+  journal_ = storage::Journal::create(storage::journal_path(dir_), new_epoch,
+                                      options_.journal);
   write_marker(new_epoch, 0);
   base_seq_ = 0;
   has_tail_ = false;  // the compacted journal starts empty
@@ -555,7 +475,7 @@ PromoteReport promote_store(const std::string& dir,
                        "' is not a replica store (no replica.herc marker)");
   }
   const schema::TaskSchema schema =
-      schema::parse_schema(read_file((fs::path(dir) / "schema.herc").string()));
+      schema::parse_schema(storage::read_file(storage::schema_path(dir)));
   support::SystemClock clock;
   PromoteReport report;
   {

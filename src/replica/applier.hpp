@@ -1,8 +1,9 @@
 // Follower-side replication: applies the leader's journal stream into a
 // local replica store and a read-only database.
 //
-// A replica store directory holds the same files as a leader store —
-// schema.herc, snapshot.herc, journal.wal — plus a `replica.herc` marker:
+// A replica store directory holds the same files as a leader store — the
+// schema, snapshot and journal that only `storage/store.hpp` reads and
+// writes — plus a `replica.herc` marker:
 //
 //   replica base <epoch> <seq> leader <endpoint>
 //
@@ -19,9 +20,11 @@
 // the replica's (`kFenced`: a demoted ex-leader is talking), and resyncs on
 // anything from the future (`kGap`: we missed a checkpoint).
 //
-// Local recovery (`bootstrap`) replays snapshot + journal WITHOUT the
-// leader's crash sweep: open runs in a replica's history are the leader's
-// live runs, not evidence of a crash.  `promote_store` is the opposite —
+// Local recovery (`bootstrap`) is the leader's `storage::load_snapshot` +
+// `storage::replay_journal` WITHOUT its crash sweep: open runs in a
+// replica's history are the leader's live runs, not evidence of a crash.
+// A checkpoint frame mirrors the leader's compaction with
+// `storage::write_snapshot`.  `promote_store` is the opposite —
 // it runs full leader recovery (seal + quarantine), checkpoints (bumping
 // the epoch: the fence that keeps the old leader out), and removes the
 // marker, turning the directory into a leader store.
@@ -163,14 +166,12 @@ class ReplicaApplier {
   [[nodiscard]] static bool is_replica_store(const std::string& dir);
 
  private:
-  [[nodiscard]] std::string schema_path() const;
-  [[nodiscard]] std::string snapshot_path() const;
-  [[nodiscard]] std::string journal_path() const;
   [[nodiscard]] std::string marker_path() const;
 
-  /// Rebuilds schema + db from the store directory.  Returns false (after
-  /// recording why) when the directory holds nothing consistently usable —
-  /// the caller falls back to a full snapshot fetch.
+  /// Rebuilds schema + db from the store directory.  Returns false when it
+  /// holds no replica store, and throws when the store is not consistently
+  /// usable; `bootstrap` records why and falls back to a full snapshot
+  /// fetch.
   [[nodiscard]] bool recover_local();
   /// One connect + subscribe-from-nothing + snapshot install.
   [[nodiscard]] bool fetch_snapshot();

@@ -1,31 +1,17 @@
 #include "replica/shipper.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "schema/schema_io.hpp"
 #include "storage/journal.hpp"
-#include "support/error.hpp"
 
 namespace herc::replica {
 
-namespace fs = std::filesystem;
 using server::Frame;
 using server::FrameType;
 
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw support::HistoryError("shipper: cannot read '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 std::string json_escape(const std::string& text) {
   std::string out;
@@ -94,10 +80,9 @@ bool JournalShipper::subscribe(std::uint64_t conn_id, const std::string& peer,
   if (pos.has_value() && pos->epoch == cur_epoch && pos->seq <= cur_seq) {
     try {
       store->sync();  // the tail frames must be readable from the file
-      const storage::ScanResult scan = storage::scan_journal(
-          read_file((fs::path(store->dir()) / "journal.wal").string()));
-      if (scan.header_valid && scan.epoch == cur_epoch &&
-          scan.records.size() >= cur_seq) {
+      const std::optional<std::vector<std::string>> records =
+          storage::journal_records(store->dir(), cur_epoch);
+      if (records.has_value() && records->size() >= cur_seq) {
         // Seq equality alone cannot prove the follower's history is a
         // prefix of ours: after a crash tore our journal tail, a follower
         // that streamed the torn frame complete sits at the same seq on a
@@ -107,8 +92,8 @@ bool JournalShipper::subscribe(std::uint64_t conn_id, const std::string& peer,
         bool tail_matches = true;
         if (info.tail_checksum.has_value() && pos->seq > 0) {
           tail_matches =
-              pos->seq <= scan.records.size() &&
-              storage::frame_checksum(scan.records[pos->seq - 1]) ==
+              pos->seq <= records->size() &&
+              storage::frame_checksum((*records)[pos->seq - 1]) ==
                   *info.tail_checksum;
           if (!tail_matches) {
             divergent_.fetch_add(1, std::memory_order_relaxed);
@@ -118,7 +103,7 @@ bool JournalShipper::subscribe(std::uint64_t conn_id, const std::string& peer,
           for (std::uint64_t seq = pos->seq; seq < cur_seq; ++seq) {
             bootstrap.push_back(
                 {FrameType::kJournal,
-                 encode_journal(cur_epoch, seq, scan.records[seq])});
+                 encode_journal(cur_epoch, seq, (*records)[seq])});
           }
           backlog_ok = true;
         }

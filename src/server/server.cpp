@@ -260,6 +260,7 @@ bool Server::answer(Connection& conn, const Frame& frame) {
           execute_command(conn, cmd.line, std::move(cmd.body), output, quit);
     }
     stats_.command_latency.record(micros_since(begin));
+    stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
   }
   ++conn.commands;
   try {
@@ -394,7 +395,6 @@ std::string Server::execute_command(Connection& conn,
     status = conn.interp->execute(line, std::move(body));
   }
   output += conn.out.str();
-  stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
   if (status == cli::CommandStatus::kQuit) {
     quit = true;
     return encode_result(Severity::kClean, "");

@@ -117,15 +117,6 @@ void FaultProxy::heal() {
   }
 }
 
-std::size_t FaultProxy::live_connections() const {
-  std::scoped_lock lock(links_mutex_);
-  std::size_t live = 0;
-  for (const auto& link : links_) {
-    if (link->pumps_done.load() < 2) ++live;
-  }
-  return live;
-}
-
 void FaultProxy::accept_loop() {
   while (!stopping_.load()) {
     std::string peer;

@@ -80,7 +80,6 @@ class FaultProxy {
     return accepted_.load();
   }
   [[nodiscard]] std::uint64_t connections_cut() const { return cut_.load(); }
-  [[nodiscard]] std::size_t live_connections() const;
 
  private:
   struct Link;

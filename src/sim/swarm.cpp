@@ -9,7 +9,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -34,19 +33,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 /// An existing store dictates its schema; a fresh one gets the full
 /// standard schema (what `herc serve` defaults to).
 schema::TaskSchema store_schema(const std::string& dir) {
   if (storage::DurableHistory::exists(dir)) {
-    return schema::parse_schema(slurp(dir + "/schema.herc"));
+    return schema::parse_schema(
+        storage::read_file(storage::schema_path(dir)));
   }
   return schema::make_full_schema();
 }

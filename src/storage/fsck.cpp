@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -134,16 +133,6 @@ std::string FsckReport::render_json() const {
 }
 
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw HistoryError("fsck: cannot read '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 /// Leniently parsed mirror of a history instance: everything needed to
 /// audit references and to re-serialize a repaired image.
@@ -733,9 +722,7 @@ std::string serialize_image(const Audit& audit,
 
 /// Applies the repair verdicts and checkpoints the cleaned image under the
 /// next epoch with a fresh journal.
-void repair_store(Audit& audit, FsckReport& report,
-                  const std::string& snapshot_path,
-                  const std::string& journal_path) {
+void repair_store(Audit& audit, FsckReport& report, const std::string& dir) {
   const std::string empty_key = data::BlobStore::key_for("");
   bool need_empty_blob = false;
   for (AuditInstance& inst : audit.instances) {
@@ -791,14 +778,11 @@ void repair_store(Audit& audit, FsckReport& report,
   }
 
   const std::uint64_t next_epoch = report.stats.epoch + 1;
-  support::RecordWriter meta("snap");
-  meta.field(static_cast<std::int64_t>(next_epoch));
-  meta.field(static_cast<std::uint32_t>(audit.instances.size()));
-  write_file_atomic(snapshot_path,
-                    meta.str() + "\n" + serialize_image(audit, keep));
+  write_snapshot(dir, next_epoch, audit.instances.size(),
+                 serialize_image(audit, keep));
   // Same crash ordering as `DurableHistory::checkpoint`: if we die before
   // the journal reset, recovery discards the stale-epoch journal.
-  Journal::create(journal_path, next_epoch, JournalOptions{});
+  Journal::create(journal_path(dir), next_epoch, JournalOptions{});
   report.repairs.push_back("checkpointed repaired image at epoch " +
                            std::to_string(next_epoch));
 }
@@ -808,11 +792,7 @@ void repair_store(Audit& audit, FsckReport& report,
 FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   FsckReport report;
   report.dir = dir;
-  const std::string schema_path = (fs::path(dir) / "schema.herc").string();
-  const std::string snapshot_path =
-      (fs::path(dir) / "snapshot.herc").string();
-  const std::string journal_path = (fs::path(dir) / "journal.wal").string();
-  if (!fs::exists(schema_path)) {
+  if (!fs::exists(schema_path(dir))) {
     throw HistoryError("fsck: '" + dir + "' does not hold a store (no " +
                        "schema.herc)");
   }
@@ -837,7 +817,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   schema::TaskSchema schema;
   const schema::TaskSchema* schema_ptr = nullptr;
   try {
-    schema = schema::parse_schema(read_file(schema_path));
+    schema = schema::parse_schema(read_file(schema_path(dir)));
     schema_ptr = &schema;
   } catch (const std::exception& e) {
     corrupt(report, "bad-schema",
@@ -873,9 +853,10 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
     }
   };
 
-  // Snapshot: "snap" meta line, then a full save() image.
-  if (fs::exists(snapshot_path)) {
-    const std::string text = read_file(snapshot_path);
+  // Snapshot: "snap" meta line, then a full save() image.  Read leniently,
+  // unlike `load_snapshot`: the audit reports what it finds and goes on.
+  if (fs::exists(snapshot_path(dir))) {
+    const std::string text = read_file(snapshot_path(dir));
     bool seen_meta = false;
     std::int64_t declared_count = -1;
     for (const std::string& line : support::split(text, '\n')) {
@@ -919,8 +900,8 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   }
 
   // Journal: epoch-matched frames on top of the snapshot.
-  if (fs::exists(journal_path)) {
-    const ScanResult scan = scan_journal(read_file(journal_path));
+  if (fs::exists(journal_path(dir))) {
+    const ScanResult scan = scan_journal(read_file(journal_path(dir)));
     if (!scan.header_valid) {
       corrupt(report, "bad-record", "journal header is invalid");
     } else if (scan.epoch < report.stats.epoch) {
@@ -996,7 +977,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
            " bump the epoch out from under the replication stream; resync"
            " the replica or promote it first");
     } else {
-      repair_store(audit, report, snapshot_path, journal_path);
+      repair_store(audit, report, dir);
       // The repair checkpoint bumped the epoch; rewrite the index from the
       // repaired image so the next open loads warm instead of detecting
       // skew and rebuilding cold.

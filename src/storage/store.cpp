@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 
 #include "schema/schema_io.hpp"
@@ -25,16 +26,6 @@ using support::HistoryError;
 
 namespace {
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw HistoryError("store: cannot read '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 void fsync_path(const std::string& path) {
 #ifdef HERC_HAVE_FSYNC
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -54,17 +45,18 @@ void fsync_path(const std::string& path) {
 #endif
 }
 
-}  // namespace
-
-void write_file_atomic(const std::string& path, std::string_view content) {
+/// `write_file_atomic` over the concatenation of `parts`.
+void write_parts_atomic(const std::string& path,
+                        std::initializer_list<std::string_view> parts) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       throw HistoryError("store: cannot write '" + tmp + "'");
     }
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
+    for (const std::string_view part : parts) {
+      out.write(part.data(), static_cast<std::streamsize>(part.size()));
+    }
     out.flush();
     if (!out) {
       throw HistoryError("store: short write to '" + tmp + "'");
@@ -81,20 +73,119 @@ void write_file_atomic(const std::string& path, std::string_view content) {
   fsync_path(parent.empty() ? "." : parent.string());
 }
 
-std::string DurableHistory::schema_path() const {
-  return (fs::path(dir_) / "schema.herc").string();
+}  // namespace
+
+std::string schema_path(const std::string& dir) {
+  return (fs::path(dir) / "schema.herc").string();
 }
 
-std::string DurableHistory::snapshot_path() const {
-  return (fs::path(dir_) / "snapshot.herc").string();
+std::string snapshot_path(const std::string& dir) {
+  return (fs::path(dir) / "snapshot.herc").string();
 }
 
-std::string DurableHistory::journal_path() const {
-  return (fs::path(dir_) / "journal.wal").string();
+std::string journal_path(const std::string& dir) {
+  return (fs::path(dir) / "journal.wal").string();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    throw HistoryError("store: cannot read '" + path + "'");
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_file_atomic(const std::string& path, std::string_view content) {
+  write_parts_atomic(path, {content});
+}
+
+// Snapshot: a "snap" meta line (epoch, instance count) followed by a full
+// `HistoryDb::save` image.
+void write_snapshot(const std::string& dir, std::uint64_t epoch,
+                    std::size_t instances, std::string_view image) {
+  support::RecordWriter meta("snap");
+  meta.field(static_cast<std::int64_t>(epoch));
+  meta.field(static_cast<std::uint32_t>(instances));
+  write_parts_atomic(snapshot_path(dir), {meta.str(), "\n", image});
+}
+
+std::optional<std::uint64_t> load_snapshot(const std::string& dir,
+                                           history::HistoryDb& db) {
+  const std::string path = snapshot_path(dir);
+  if (!fs::exists(path)) return std::nullopt;
+  std::optional<std::uint64_t> epoch;
+  for (const std::string& line : support::split(read_file(path), '\n')) {
+    if (support::trim(line).empty()) continue;
+    if (epoch.has_value()) {
+      db.apply_saved_line(line);
+      continue;
+    }
+    support::RecordReader rec(line);
+    if (rec.kind() != "snap") {
+      throw HistoryError("store '" + dir +
+                         "': snapshot does not start with a snap record");
+    }
+    epoch = static_cast<std::uint64_t>(rec.next_int64());
+  }
+  return epoch;
+}
+
+JournalReplay replay_journal(const std::string& dir, std::uint64_t epoch,
+                             history::HistoryDb& db, JournalOptions options) {
+  const std::string path = journal_path(dir);
+  if (!fs::exists(path)) {
+    return {Journal::create(path, epoch, options), 0, 0, false, std::nullopt};
+  }
+  const ScanResult scan = scan_journal(read_file(path));
+  if (scan.header_valid && scan.epoch > epoch) {
+    // A journal *ahead* of its snapshot cannot happen from a crash (the
+    // checkpoint orders snapshot-then-journal); the snapshot was replaced
+    // or rolled back out from under it.  Discarding would silently lose
+    // committed records, so refuse — naming both epochs.
+    throw HistoryError("store '" + dir + "': journal is at future epoch " +
+                       std::to_string(scan.epoch) +
+                       " but the snapshot is at epoch " +
+                       std::to_string(epoch) +
+                       "; refusing to discard committed records");
+  }
+  if (!scan.header_valid || scan.epoch != epoch) {
+    // Wrong magic, or an epoch the snapshot has already absorbed.
+    return {Journal::create(path, epoch, options), 0, scan.records.size(),
+            false, std::nullopt};
+  }
+  for (const std::string& record : scan.records) {
+    for (const std::string& line : support::split(record, '\n')) {
+      db.apply_saved_line(line);
+    }
+  }
+  if (scan.torn) {
+    std::error_code ec;
+    fs::resize_file(path, scan.valid_bytes, ec);
+    if (ec) {
+      throw HistoryError("store '" + dir +
+                         "': cannot truncate torn journal tail: " +
+                         ec.message());
+    }
+  }
+  std::optional<std::uint32_t> tail;
+  if (!scan.records.empty()) tail = frame_checksum(scan.records.back());
+  return {Journal::open(path, epoch, scan.valid_bytes, options),
+          scan.records.size(), 0, scan.torn, tail};
+}
+
+std::optional<std::vector<std::string>> journal_records(
+    const std::string& dir, std::uint64_t epoch) {
+  const std::string path = journal_path(dir);
+  if (!fs::exists(path)) return std::nullopt;
+  ScanResult scan = scan_journal(read_file(path));
+  if (!scan.header_valid || scan.epoch != epoch) return std::nullopt;
+  return std::move(scan.records);
 }
 
 bool DurableHistory::exists(const std::string& dir) {
-  return fs::exists(fs::path(dir) / "schema.herc");
+  return fs::exists(schema_path(dir));
 }
 
 DurableHistory::DurableHistory(const schema::TaskSchema& schema,
@@ -103,84 +194,28 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
     : schema_(&schema), dir_(std::move(dir)), options_(options) {
   fs::create_directories(dir_);
   const std::string schema_text = schema::write_schema(schema);
-  if (fs::exists(schema_path())) {
-    if (read_file(schema_path()) != schema_text) {
+  if (fs::exists(schema_path(dir_))) {
+    if (read_file(schema_path(dir_)) != schema_text) {
       throw HistoryError("store '" + dir_ +
                          "': recorded schema differs from the session's; "
                          "open it from a session over the same schema");
     }
   } else {
-    write_file_atomic(schema_path(), schema_text);
+    write_file_atomic(schema_path(dir_), schema_text);
     report_.created = true;
   }
 
   db_ = std::make_unique<history::HistoryDb>(schema, clock);
-
-  // Snapshot: a "snap" meta line (epoch, instance count) followed by a
-  // full `HistoryDb::save` image.
-  if (fs::exists(snapshot_path())) {
-    const std::string text = read_file(snapshot_path());
-    bool seen_meta = false;
-    for (const std::string& line : support::split(text, '\n')) {
-      if (support::trim(line).empty()) continue;
-      if (!seen_meta) {
-        support::RecordReader rec(line);
-        if (rec.kind() != "snap") {
-          throw HistoryError("store '" + dir_ +
-                             "': snapshot does not start with a snap record");
-        }
-        epoch_ = static_cast<std::uint64_t>(rec.next_int64());
-        seen_meta = true;
-        continue;
-      }
-      db_->apply_saved_line(line);
-    }
-    report_.snapshot_instances = db_->size();
-  }
+  epoch_ = load_snapshot(dir_, *db_).value_or(0);
+  report_.snapshot_instances = db_->size();
 
   // Journal: replay the tail on top of the snapshot.
-  bool need_fresh_journal = true;
-  if (fs::exists(journal_path())) {
-    const ScanResult scan = scan_journal(read_file(journal_path()));
-    if (scan.header_valid && scan.epoch == epoch_) {
-      for (const std::string& record : scan.records) {
-        for (const std::string& line : support::split(record, '\n')) {
-          db_->apply_saved_line(line);
-        }
-      }
-      report_.journal_records_applied = scan.records.size();
-      report_.torn_tail = scan.torn;
-      if (scan.torn) {
-        std::error_code ec;
-        fs::resize_file(journal_path(), scan.valid_bytes, ec);
-        if (ec) {
-          throw HistoryError("store '" + dir_ +
-                             "': cannot truncate torn journal tail: " +
-                             ec.message());
-        }
-      }
-      journal_ = Journal::open(journal_path(), epoch_, scan.valid_bytes,
-                               options_.journal);
-      journal_seq_ = scan.records.size();
-      need_fresh_journal = false;
-    } else if (scan.header_valid && scan.epoch > epoch_) {
-      // A journal *ahead* of its snapshot cannot happen from a crash (the
-      // checkpoint orders snapshot-then-journal); the snapshot was replaced
-      // or rolled back out from under it.  Discarding would silently lose
-      // committed records, so refuse — naming both epochs.
-      throw HistoryError("store '" + dir_ + "': journal is at future epoch " +
-                         std::to_string(scan.epoch) +
-                         " but the snapshot is at epoch " +
-                         std::to_string(epoch_) +
-                         "; refusing to discard committed records");
-    } else {
-      // Wrong magic, or an epoch the snapshot has already absorbed.
-      report_.journal_records_discarded = scan.records.size();
-    }
-  }
-  if (need_fresh_journal) {
-    journal_ = Journal::create(journal_path(), epoch_, options_.journal);
-  }
+  JournalReplay replay = replay_journal(dir_, epoch_, *db_, options_.journal);
+  journal_ = std::move(replay.journal);
+  journal_seq_ = replay.applied;
+  report_.journal_records_applied = replay.applied;
+  report_.journal_records_discarded = replay.discarded;
+  report_.torn_tail = replay.torn;
   report_.epoch = epoch_;
   db_->attach_listener(this);
 
@@ -227,11 +262,8 @@ void DurableHistory::on_mutation(std::string_view lines) {
 
 void DurableHistory::checkpoint() {
   const std::uint64_t next = epoch_ + 1;
-  support::RecordWriter meta("snap");
-  meta.field(static_cast<std::int64_t>(next));
-  meta.field(static_cast<std::uint32_t>(db_->size()));
   try {
-    write_file_atomic(snapshot_path(), meta.str() + "\n" + db_->save());
+    write_snapshot(dir_, next, db_->size(), db_->save());
   } catch (const support::StorageError& e) {
     // The rename may or may not have reached the disk: appending to the
     // old-epoch journal could then lose records behind a newer snapshot.
@@ -243,7 +275,7 @@ void DurableHistory::checkpoint() {
   // Close the old handle first: a buffered flush after the truncation
   // below would resurrect stale frames.
   journal_.reset();
-  journal_ = Journal::create(journal_path(), next, options_.journal);
+  journal_ = Journal::create(journal_path(dir_), next, options_.journal);
   epoch_ = next;
   since_checkpoint_ = 0;
   journal_seq_ = 0;

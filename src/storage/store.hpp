@@ -16,12 +16,17 @@
 // truncated away, and a journal whose epoch does not match the snapshot's
 // (a crash between the checkpoint's two steps) is discarded — its records
 // are already inside the snapshot.
+//
+// The free functions below are the only code that knows this layout: the
+// leader store, the follower (`replica::ReplicaApplier`), promotion, fsck
+// repair, the shipper's backlog and the index catch-up all go through them.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "history/history_db.hpp"
 #include "storage/journal.hpp"
@@ -56,11 +61,60 @@ struct RecoveryReport {
   std::size_t quarantined = 0;
 };
 
+/// The files of the store in `dir`.
+[[nodiscard]] std::string schema_path(const std::string& dir);
+[[nodiscard]] std::string snapshot_path(const std::string& dir);
+[[nodiscard]] std::string journal_path(const std::string& dir);
+
+/// The whole file at `path`; throws `HistoryError` when it cannot be read.
+[[nodiscard]] std::string read_file(const std::string& path);
+
 /// Durable file replacement: write `path`.tmp, flush + fsync, rename over
 /// `path`, fsync the directory so the rename itself is durable.  Shared by
 /// checkpointing and fsck repair.  A failed flush or fsync throws
 /// `support::StorageError`.
 void write_file_atomic(const std::string& path, std::string_view content);
+
+/// Atomically replaces `dir`'s snapshot with a "snap" meta line (`epoch`,
+/// `instances`) followed by `image`, a `HistoryDb::save` image.
+void write_snapshot(const std::string& dir, std::uint64_t epoch,
+                    std::size_t instances, std::string_view image);
+
+/// Applies `dir`'s snapshot image to `db` and returns the snapshot's epoch;
+/// nullopt when there is no snapshot or it holds no record.  Throws
+/// `HistoryError` when the first record is not a snap record.
+[[nodiscard]] std::optional<std::uint64_t> load_snapshot(
+    const std::string& dir, history::HistoryDb& db);
+
+/// What `replay_journal` found and did.
+struct JournalReplay {
+  /// The journal, open for appending after the last replayed frame.
+  Journal journal;
+  /// Records applied on top of the snapshot (the next frame's seq).
+  std::size_t applied = 0;
+  /// Records of a stale or foreign journal that was replaced.
+  std::size_t discarded = 0;
+  /// True when a torn final frame was truncated away.
+  bool torn = false;
+  /// `frame_checksum` of the last applied record.
+  std::optional<std::uint32_t> tail_checksum;
+};
+
+/// Replays `dir`'s journal of `epoch` into `db` (which already holds the
+/// snapshot of `epoch`): applies every valid frame, truncates a torn tail,
+/// and replaces a journal whose epoch the snapshot already absorbed (or
+/// whose header is invalid) with a fresh one.  Throws `HistoryError` for a
+/// journal at a future epoch: discarding it would lose committed records.
+[[nodiscard]] JournalReplay replay_journal(const std::string& dir,
+                                           std::uint64_t epoch,
+                                           history::HistoryDb& db,
+                                           JournalOptions options);
+
+/// The record payloads of `dir`'s journal when it extends epoch `epoch`;
+/// nullopt when there is no journal, its header is invalid or its epoch
+/// differs.
+[[nodiscard]] std::optional<std::vector<std::string>> journal_records(
+    const std::string& dir, std::uint64_t epoch);
 
 /// Observer of the journal frame stream — the replication shipping hook.
 /// Called synchronously from the mutation path, under whatever lock the
@@ -141,9 +195,6 @@ class DurableHistory final : public history::MutationListener {
   void on_mutation(std::string_view lines) override;
 
  private:
-  [[nodiscard]] std::string schema_path() const;
-  [[nodiscard]] std::string snapshot_path() const;
-  [[nodiscard]] std::string journal_path() const;
   /// The open journal; throws `StorageError` when a failed checkpoint
   /// left none.
   Journal& journal();

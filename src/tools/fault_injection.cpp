@@ -108,12 +108,6 @@ void FaultInjectingRegistry::inject_random(double probability, FaultKind kind,
   state_->random_hang = hang;
 }
 
-void FaultInjectingRegistry::clear_faults() {
-  std::scoped_lock lock(state_->mutex);
-  state_->scheduled.clear();
-  state_->random_armed = false;
-}
-
 const Encapsulation& FaultInjectingRegistry::wrap(
     const Encapsulation& enc) const {
   std::scoped_lock lock(wrap_mutex_);

@@ -66,9 +66,6 @@ class FaultInjectingRegistry final : public ToolRegistry {
   void inject_random(double probability, FaultKind kind,
                      std::chrono::milliseconds hang = std::chrono::milliseconds{50});
 
-  /// Clears all scheduled faults and the random plan (counters are kept).
-  void clear_faults();
-
   // Delegating lookups; resolved encapsulations come back fault-wrapped.
   [[nodiscard]] const Encapsulation& resolve(
       schema::EntityTypeId tool_type) const override;

@@ -384,6 +384,55 @@ TEST(Cli, FsckExitCodesThroughTheCommand) {
   fs::remove_all(dir);
 }
 
+TEST(Cli, LintVerbsReportTheirSeverity) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "herc_cli_lint";
+  fs::remove_all(dir);
+  std::ostringstream out;
+  Interpreter interpreter(out);
+  const auto lint = [&](const std::string& line) {
+    out.str("");
+    return interpreter.execute(line);
+  };
+
+  // The default schema is clean.
+  ASSERT_EQ(lint("lint schema"), CommandStatus::kOk);
+  EXPECT_NE(out.str().find("verdict: CLEAN"), std::string::npos) << out.str();
+  EXPECT_EQ(interpreter.last_severity(), support::Severity::kClean);
+
+  // A flow whose tool discards a co-output warns; a mistyped binding is
+  // an error that fails the command.
+  ASSERT_EQ(interpreter.execute("import Stimuli walk \"\""), CommandStatus::kOk);
+  ASSERT_EQ(interpreter.execute("import Simulator sim \"\""), CommandStatus::kOk);
+  ASSERT_EQ(interpreter.execute("flow new f goal Performance"),
+            CommandStatus::kOk);
+  ASSERT_EQ(interpreter.execute("flow expand f 0"), CommandStatus::kOk);
+  ASSERT_EQ(lint("lint flow f"), CommandStatus::kOk);
+  EXPECT_NE(out.str().find("HL106"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("verdict: WARNINGS"), std::string::npos);
+  EXPECT_EQ(interpreter.last_severity(), support::Severity::kWarning);
+  ASSERT_EQ(interpreter.execute("flow bind f 3 i1"), CommandStatus::kOk);
+  EXPECT_EQ(lint("lint flow f"), CommandStatus::kError);
+  EXPECT_NE(out.str().find("error HL101"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("verdict: ERRORS"), std::string::npos);
+
+  // A healthy store lints clean; a corrupt snapshot is an error.
+  ASSERT_EQ(interpreter.execute("open " + dir), CommandStatus::kOk);
+  ASSERT_EQ(interpreter.execute("checkpoint"), CommandStatus::kOk);
+  ASSERT_EQ(lint("lint store " + dir), CommandStatus::kOk);
+  EXPECT_NE(out.str().find("verdict: CLEAN"), std::string::npos) << out.str();
+  EXPECT_EQ(interpreter.last_severity(), support::Severity::kClean);
+  ASSERT_EQ(interpreter.execute("store close"), CommandStatus::kOk);
+  {
+    std::ofstream bad((fs::path(dir) / "snapshot.herc").string(),
+                      std::ios::binary | std::ios::trunc);
+    bad << "not a snapshot at all\n";
+  }
+  EXPECT_EQ(lint("lint store " + dir), CommandStatus::kError);
+  EXPECT_NE(out.str().find("error HL302"), std::string::npos) << out.str();
+  fs::remove_all(dir);
+}
+
 TEST(Cli, FsckRepairIsRefusedOnTheOpenStore) {
   // Repair rewrites snapshot + journal under the live session's handle,
   // which would desync its in-memory image — the command must refuse

@@ -15,6 +15,9 @@
 //   - Promotion: `promote_store` runs leader recovery, bumps the epoch
 //     and removes the marker; the failover drill then rebuilds the whole
 //     chain (new leader, new follower) on top of the promoted store.
+//   - Checkpoints: a live checkpoint streams to the follower and moves
+//     the promotion fence; a store left inconsistent by a crash (snapshot
+//     off the marker, journal from the future) resyncs from the leader.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -492,6 +495,147 @@ TEST(ReplicaTest, FailoverDrillPromotedFollowerLeadsAndFencesTheOldEpoch) {
   session_b.close_storage();
   EXPECT_EQ(storage::fsck_store(b_dir).exit_code(), 0);
   EXPECT_EQ(storage::fsck_store(c_dir).exit_code(), 0);
+}
+
+// A checkpoint run on a served leader streams to a live follower as a
+// checkpoint frame: the follower compacts to (E+1, 0), the next write
+// arrives as frame (E+1, 0), a restart recovers from the post-checkpoint
+// marker, and promotion fences above the leader's new epoch.
+TEST(ReplicaTest, LiveCheckpointReachesFollowersAndFencesThePromotion) {
+  TempDir tmp;
+  const std::string leader_dir = tmp.sub("leader");
+  const std::string follower_dir = tmp.sub("follower");
+
+  core::DesignSession session(schema::make_full_schema());
+  (void)session.open_storage(leader_dir);
+  std::uint64_t leader_epoch = 0;
+  std::string leader_image;
+  {
+    JournalShipper shipper(session);
+    server::Server server(session);
+    server.set_replication_hub(&shipper);
+    const server::Endpoint ep =
+        server.add_listener(server::Endpoint::parse("127.0.0.1:0"));
+    server.start();
+    server::Client writer = server::Client::connect(ep);
+    ASSERT_TRUE(writer.call("import Stimuli before", kWaveBody).ok());
+
+    ReplicaApplier applier(ep, follower_dir);
+    ASSERT_TRUE(applier.bootstrap()) << applier.last_error();
+    const std::uint64_t epoch = applier.position().epoch;
+    applier.start();
+    ASSERT_TRUE(writer.call("import Stimuli streamed", kWaveBody).ok());
+    ASSERT_TRUE(wait_until([&] { return applier.frames_applied() >= 1; }))
+        << applier.last_error();
+
+    const server::CallResult checkpoint = writer.call("checkpoint");
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.error;
+    ASSERT_TRUE(wait_until([&] {
+      return applier.position() == StreamPosition{epoch + 1, 0};
+    })) << "follower at " << applier.position().epoch << ":"
+        << applier.position().seq << "; " << applier.last_error();
+    ASSERT_TRUE(writer.call("import Stimuli after_checkpoint", kWaveBody).ok());
+    ASSERT_TRUE(wait_until([&] {
+      return applier.position() == StreamPosition{epoch + 1, 1};
+    })) << applier.last_error();
+    EXPECT_EQ(applier.frames_applied(), 2u);
+    applier.stop();
+
+    server.with_exclusive_session([&] {
+      leader_epoch = session.storage()->epoch();
+      leader_image = session.db().save();
+    });
+    EXPECT_EQ(leader_epoch, epoch + 1);
+    writer.close();
+    server.stop();
+  }
+  session.close_storage();
+
+  // The leader is gone, so only the follower's own directory can
+  // bootstrap it: recovery over the marker the checkpoint rewrote.
+  {
+    ReplicaApplier applier(server::Endpoint::parse("127.0.0.1:1"),
+                           follower_dir);
+    ASSERT_TRUE(applier.bootstrap(1)) << applier.last_error();
+    EXPECT_EQ(applier.position(), (StreamPosition{leader_epoch, 1}));
+    EXPECT_EQ(applier.db().save(), leader_image);
+  }
+  EXPECT_EQ(storage::fsck_store(leader_dir).exit_code(), 0);
+  EXPECT_EQ(storage::fsck_store(follower_dir).exit_code(), 0);
+
+  const PromoteReport promotion = promote_store(follower_dir);
+  EXPECT_GT(promotion.epoch, leader_epoch);
+}
+
+/// Bootstraps a follower off a served leader, lets `damage` break its
+/// stopped store (given the store's position), then bootstraps it again.
+/// Local recovery must refuse the store, and the second bootstrap must
+/// still reach the leader's position by fetching its snapshot; `error` is
+/// the follower's `last_error()` afterwards.
+void rebootstrap_after(
+    const std::function<void(const std::string&, StreamPosition)>& damage,
+    std::string& error) {
+  TempDir tmp;
+  const std::string follower_dir = tmp.sub("follower");
+  core::DesignSession session(schema::make_full_schema());
+  (void)session.open_storage(tmp.sub("leader"));
+  {
+    JournalShipper shipper(session);
+    server::Server server(session);
+    server.set_replication_hub(&shipper);
+    const server::Endpoint ep =
+        server.add_listener(server::Endpoint::parse("127.0.0.1:0"));
+    server.start();
+    server::Client writer = server::Client::connect(ep);
+    ASSERT_TRUE(writer.call("import Stimuli first", kWaveBody).ok());
+    ASSERT_TRUE(writer.call("checkpoint").ok());
+    ASSERT_TRUE(writer.call("import Stimuli second", kWaveBody).ok());
+    writer.close();
+
+    StreamPosition parked;
+    {
+      ReplicaApplier applier(ep, follower_dir);
+      ASSERT_TRUE(applier.bootstrap()) << applier.last_error();
+      parked = applier.position();
+    }
+    damage(follower_dir, parked);
+
+    ReplicaApplier applier(ep, follower_dir);
+    ASSERT_TRUE(applier.bootstrap()) << applier.last_error();
+    EXPECT_EQ(applier.refused_subscribes(), 0u);
+    EXPECT_EQ(applier.position(), parked);
+    std::string leader_image;
+    server.with_exclusive_session([&] { leader_image = session.db().save(); });
+    EXPECT_EQ(applier.db().save(), leader_image);
+    error = applier.last_error();
+    server.stop();
+  }
+  session.close_storage();
+  EXPECT_EQ(storage::fsck_store(follower_dir).exit_code(), 0);
+}
+
+TEST(ReplicaTest, SnapshotEpochOffTheMarkerRefetchesTheLeaderSnapshot) {
+  // A crash between writing a checkpoint's snapshot and its marker.
+  std::string error;
+  rebootstrap_after(
+      [](const std::string& dir, StreamPosition at) {
+        storage::write_snapshot(dir, at.epoch + 1, 0, "");
+      },
+      error);
+  EXPECT_NE(error.find("differs from the replica marker"), std::string::npos)
+      << error;
+}
+
+TEST(ReplicaTest, FutureEpochJournalRefetchesTheLeaderSnapshot) {
+  std::string error;
+  rebootstrap_after(
+      [](const std::string& dir, StreamPosition at) {
+        (void)storage::Journal::create(storage::journal_path(dir),
+                                       at.epoch + 3, {});
+      },
+      error);
+  EXPECT_NE(error.find("journal is at future epoch"), std::string::npos)
+      << error;
 }
 
 // The torn-tail divergence: the leader crashes mid-journal-write AFTER the

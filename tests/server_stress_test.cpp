@@ -215,6 +215,49 @@ TEST(ServerStressTest, StatsReportLockWaitAndSendStages) {
   served.server.stop();
 }
 
+TEST(ServerStressTest, StatsCountsEveryAnsweredCommandOnce) {
+  // Intercepted commands, a dedup replay and ordinary commands all reach
+  // the latency histogram, so each must count as executed exactly once.
+  ServedSession served;
+  Client client = Client::connect(served.bound);
+  ASSERT_TRUE(client.call("echo hi").ok());
+  ASSERT_TRUE(client.call("entities").ok());
+  ASSERT_TRUE(client.call("stats").ok());
+  ASSERT_TRUE(client.call("replicas").ok());
+  ASSERT_TRUE(client.call("session user carol").ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    client.send_token("designer-1", 1, "import Stimuli s",
+                      "stimuli s\nwave in 0:0\n");
+    ASSERT_TRUE(client.receive().ok());
+  }
+  const CallResult json = client.call("stats --json");
+  ASSERT_TRUE(json.ok());
+  const std::size_t at = json.output.find("\"commands_executed\":");
+  ASSERT_NE(at, std::string::npos) << json.output;
+  EXPECT_EQ(json.output.substr(at + 20, 2), "7,") << json.output;
+  EXPECT_NE(json.output.find("\"latency_us\":{"), std::string::npos);
+  const ServerStats& stats = served.server.stats();
+  EXPECT_EQ(stats.commands_executed.load(), 8u);
+  EXPECT_EQ(stats.commands_executed.load(), stats.command_latency.count());
+  client.close();
+  served.server.stop();
+
+  // A read-only refusal is answered and timed too.
+  core::DesignSession session(schema::make_full_schema());
+  ServeOptions options;
+  options.read_only = true;
+  Server replica(session, options);
+  const Endpoint bound = replica.add_listener(Endpoint::parse("127.0.0.1:0"));
+  replica.start();
+  Client reader = Client::connect(bound);
+  EXPECT_FALSE(reader.call("import Stimuli s", "stimuli s\n").ok());
+  EXPECT_TRUE(reader.call("entities").ok());
+  reader.close();
+  replica.stop();
+  EXPECT_EQ(replica.stats().commands_executed.load(), 2u);
+  EXPECT_EQ(replica.stats().command_latency.count(), 2u);
+}
+
 TEST(ServerStressTest, SessionScopedCommandsAreRefusedOnTheSharedSession) {
   ServedSession served;
   Client client = Client::connect(served.bound);
